@@ -1,103 +1,83 @@
 #include "core/datapath.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace redmule::core {
 
 using fp16::Float16;
 
-Datapath::Datapath(const Geometry& g) : geom_(g) {
+Datapath::Datapath(const Geometry& g) : geom_(g), lat_(g.fma_latency()) {
   g.validate();
-  pipes_.assign(g.h, std::vector<Slot>(g.fma_latency()));
-  outs_.assign(g.h, Slot{});
-  // Pre-size every per-row value vector once; advance() never reallocates.
-  for (auto& pipe : pipes_)
-    for (auto& slot : pipe) slot.values.resize(g.l);
-  for (auto& slot : outs_) slot.values.resize(g.l);
+  // Sized once; advance() never allocates.
+  vals_.resize(static_cast<size_t>(g.h) * lat_ * g.l);
+  tags_.resize(static_cast<size_t>(g.h) * lat_);
+  valid_.resize(static_cast<size_t>(g.h) * lat_);
+  zeros_.resize(g.l);
+  last_.values.resize(g.l);
 }
 
 void Datapath::reset() {
-  for (auto& pipe : pipes_)
-    for (auto& slot : pipe) {
-      slot.valid = false;
-      slot.tag = PipeTag{};
-      std::fill(slot.values.begin(), slot.values.end(), Float16{});
-    }
-  for (auto& slot : outs_) slot.valid = false;
+  head_ = 0;
+  std::fill(vals_.begin(), vals_.end(), Float16{});
+  std::fill(tags_.begin(), tags_.end(), PipeTag{});
+  std::fill(valid_.begin(), valid_.end(), uint8_t{0});
   fma_ops_ = 0;
 }
 
 bool Datapath::drained() const {
-  for (const auto& pipe : pipes_)
-    for (const auto& slot : pipe)
-      if (slot.valid) return false;
-  return true;
+  return std::none_of(valid_.begin(), valid_.end(), [](uint8_t v) { return v != 0; });
 }
 
-std::optional<Datapath::Capture> Datapath::advance(
-    const std::vector<ColumnIssue>& issues) {
+const Datapath::Capture* Datapath::advance(const std::vector<ColumnIssue>& issues) {
   const unsigned h = geom_.h;
   const unsigned l = geom_.l;
   REDMULE_ASSERT(issues.size() == h);
 
-  // Phase A: the registered output of every column is its deepest pipeline
-  // stage. Swap (not copy) it into outs_: the deepest slot is about to be
-  // overwritten by the shift anyway, and the swap recycles last cycle's
-  // outs_ storage back into the pipe -- the whole loop is allocation-free.
-  for (unsigned c = 0; c < h; ++c) std::swap(outs_[c], pipes_[c].back());
+  // The last column's registered output feeds column 0 back and may be a
+  // capture; copy it before that column's issue overwrites its ring entry.
+  const size_t last = static_cast<size_t>(h - 1) * lat_ + head_;
+  const bool last_valid = valid_[last] != 0;
+  if (last_valid) {
+    last_.tag = tags_[last];
+    std::copy_n(&vals_[last * l], l, last_.values.begin());
+  }
 
-  // Phase B: shift all pipes and insert this cycle's issues at stage 0.
-  // Rotating the (now stale) deepest slot to the front shifts every live
-  // stage one deeper and leaves a reusable slot at stage 0.
-  std::optional<Capture> capture;
-  for (unsigned c = 0; c < h; ++c) {
-    auto& pipe = pipes_[c];
-    std::rotate(pipe.begin(), pipe.end() - 1, pipe.end());
-
-    Slot& in = pipe[0];
+  // Columns from high to low: column c reads column c-1's output entry
+  // before column c-1 overwrites it with its own issue.
+  for (unsigned c = h; c-- > 0;) {
+    const size_t e = static_cast<size_t>(c) * lat_ + head_;
     const ColumnIssue& issue = issues[c];
-    in.valid = issue.active;
-    if (issue.active) {
-      REDMULE_ASSERT(issue.x.size() == l);
-      in.tag = issue.tag;
-      in.values.resize(l);
+    valid_[e] = issue.active;
+    if (!issue.active) continue;
+    REDMULE_ASSERT(issue.x != nullptr);
 
-      // Accumulation input: previous column's output, the feedback path for
-      // column 0, or zero on the very first traversal of a tile.
-      const Slot* acc = nullptr;
-      if (c > 0) {
-        acc = &outs_[c - 1];
-        REDMULE_ASSERT_MSG(acc->valid, "upstream column bubble at issue time");
-        REDMULE_ASSERT_MSG(acc->tag == issue.tag, "systolic schedule misaligned");
-      } else if (!issue.first_traversal) {
-        acc = &outs_[h - 1];
-        REDMULE_ASSERT_MSG(acc->valid, "feedback bubble at issue time");
-        REDMULE_ASSERT_MSG(acc->tag.tile == issue.tag.tile &&
-                               acc->tag.trav + 1 == issue.tag.trav &&
-                               acc->tag.tau == issue.tag.tau,
-                           "feedback schedule misaligned");
-      }
-
-      const bool has_init = !issue.init_acc.empty();
-      REDMULE_ASSERT(!has_init || issue.init_acc.size() == l);
-      for (unsigned r = 0; r < l; ++r) {
-        const Float16 a = acc != nullptr ? acc->values[r]
-                          : has_init     ? issue.init_acc[r]
-                                         : Float16{};
-        in.values[r] = Float16::fma(issue.x[r], issue.w, a);
-      }
-      fma_ops_ += l;
+    // Accumulation input: previous column's output, the feedback path for
+    // column 0, or the initial accumulator on the first traversal of a tile.
+    const Float16* acc;
+    if (c > 0) {
+      const size_t up = e - lat_;
+      REDMULE_ASSERT_MSG(valid_[up] != 0, "upstream column bubble at issue time");
+      REDMULE_ASSERT_MSG(tags_[up] == issue.tag, "systolic schedule misaligned");
+      acc = &vals_[up * l];
+    } else if (!issue.first_traversal) {
+      REDMULE_ASSERT_MSG(last_valid, "feedback bubble at issue time");
+      REDMULE_ASSERT_MSG(last_.tag.tile == issue.tag.tile &&
+                             last_.tag.trav + 1 == issue.tag.trav &&
+                             last_.tag.tau == issue.tag.tau,
+                         "feedback schedule misaligned");
+      acc = last_.values.data();
+    } else {
+      acc = issue.init_acc != nullptr ? issue.init_acc : zeros_.data();
     }
+    tags_[e] = issue.tag;
+    fp16::fma_row(issue.x, issue.w, acc, &vals_[e * l], l);
+    fma_ops_ += l;
   }
+  head_ = head_ + 1 == lat_ ? 0 : head_ + 1;
 
-  // Phase C: a last-traversal entry emerging from the final column is a
-  // finished chunk of Z destined for the Z-buffer.
-  const Slot& last = outs_[h - 1];
-  if (last.valid && last.tag.last_traversal) {
-    capture = Capture{last.tag, last.values};
-  }
-  return capture;
+  // A last-traversal entry emerging from the final column is a finished
+  // chunk of Z destined for the Z-buffer.
+  return last_valid && last_.tag.last_traversal ? &last_ : nullptr;
 }
 
 }  // namespace redmule::core

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/config.hpp"
@@ -37,16 +36,17 @@ class Datapath {
  public:
   explicit Datapath(const Geometry& g);
 
-  /// Issue descriptor for one column in the current cycle.
+  /// Issue descriptor for one column in the current cycle. The operand
+  /// pointers are borrowed for the duration of the advance() call only.
   struct ColumnIssue {
     bool active = false;
     PipeTag tag;
-    bool first_traversal = false;        ///< accumulate from init, not feedback
-    fp16::Float16 w;                     ///< broadcast W element
-    std::vector<fp16::Float16> x;        ///< per-row X operands (size L)
-    /// First-traversal accumulator initialization: zeros for Z = X*W, the
-    /// streamed Y elements for the Z = Y + X*W extension. Empty means zeros.
-    std::vector<fp16::Float16> init_acc;
+    bool first_traversal = false;          ///< accumulate from init, not feedback
+    fp16::Float16 w;                       ///< broadcast W element
+    const fp16::Float16* x = nullptr;      ///< per-row X operands (L elements)
+    /// First-traversal accumulator initialization: the streamed Y elements
+    /// (L of them) for the Z = Y + X*W extension; null means zeros (Z = X*W).
+    const fp16::Float16* init_acc = nullptr;
   };
 
   /// Finished Z-row chunk emerging from the last column.
@@ -56,8 +56,9 @@ class Datapath {
   };
 
   /// Advances the array by one (unstalled) cycle. \p issues has exactly H
-  /// entries. Returns the capture output if a last-traversal entry emerged.
-  std::optional<Capture> advance(const std::vector<ColumnIssue>& issues);
+  /// entries. Returns the capture output if a last-traversal entry emerged,
+  /// else null; the pointee stays valid until the next advance() or reset().
+  const Capture* advance(const std::vector<ColumnIssue>& issues);
 
   /// Clears all pipeline state (soft clear).
   void reset();
@@ -70,19 +71,19 @@ class Datapath {
   bool drained() const;
 
  private:
-  struct Slot {
-    bool valid = false;
-    PipeTag tag;
-    std::vector<fp16::Float16> values;  ///< per-row partials
-  };
-
   Geometry geom_;
-  /// pipes_[c][i]: stage i of column c; stage p (deepest) is the output.
-  std::vector<std::vector<Slot>> pipes_;
-  /// Registered column outputs of the current cycle. Member (not a local in
-  /// advance()) so the per-row value vectors are allocated once and recycled
-  /// by swapping with the retiring deepest pipeline slots every cycle.
-  std::vector<Slot> outs_;
+  unsigned lat_;  ///< pipeline depth of a column (P+1)
+  /// Every column shifts in lockstep, so one ring position serves all of
+  /// them: the entry at head_ is each column's registered output this cycle
+  /// (issued lat_ cycles ago) and is overwritten by this cycle's issue.
+  unsigned head_ = 0;
+  std::vector<fp16::Float16> vals_;  ///< [c][stage][row] partial sums
+  std::vector<PipeTag> tags_;        ///< [c][stage]
+  std::vector<uint8_t> valid_;       ///< [c][stage]
+  std::vector<fp16::Float16> zeros_; ///< L zeros: the Z = X*W initial acc
+  /// The last column's output this cycle, copied out before that column's
+  /// issue overwrites it: the column-0 feedback input and the capture.
+  Capture last_;
   uint64_t fma_ops_ = 0;
 };
 

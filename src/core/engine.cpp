@@ -23,13 +23,10 @@ RedmuleEngine::RedmuleEngine(const Geometry& g, mem::Hci& hci)
   REDMULE_REQUIRE(g.j_slots() <= 32,
                   "cycle model supports up to 32 j-slots (use the analytical "
                   "model for wider geometries)");
-  x_regs_.assign(g.h, std::vector<Float16>(g.l));
+  x_regs_.resize(static_cast<size_t>(g.h) * g.l);
+  y_init_.resize(g.l);
   steps_.resize(g.h);
   issues_.resize(g.h);
-  for (auto& issue : issues_) {
-    issue.x.reserve(g.l);
-    issue.init_acc.reserve(g.l);
-  }
 }
 
 void RedmuleEngine::reg_write(uint32_t offset, uint32_t value) {
@@ -63,13 +60,7 @@ void RedmuleEngine::reset() {
   ac_ = 0;
   total_span_ = 0;
   done_event_ = false;
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
-  std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
-  }
+  clear_schedule_scratch();
   cur_stats_ = JobStats{};
   last_stats_ = JobStats{};
 }
@@ -110,16 +101,17 @@ void RedmuleEngine::start_job() {
   ac_ = 0;
   total_span_ = static_cast<uint64_t>(tiling_->tiles()) * tiling_->n_chunks *
                 geom_.j_slots();
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
-  std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
-  }
+  clear_schedule_scratch();
   cur_stats_ = JobStats{};
   cur_stats_.macs = job_.macs();
   state_ = Fsm::kRunning;
+}
+
+void RedmuleEngine::clear_schedule_scratch() {
+  std::fill(x_regs_.begin(), x_regs_.end(), Float16{});
+  std::fill(y_init_.begin(), y_init_.end(), Float16{});
+  std::fill(steps_.begin(), steps_.end(), ColStep{});
+  std::fill(issues_.begin(), issues_.end(), Datapath::ColumnIssue{});
 }
 
 void RedmuleEngine::finish_job() {
@@ -176,33 +168,34 @@ bool RedmuleEngine::try_advance() {
   }
 
   // --- Phase 2: all operands present; perform latches, pops, and the
-  // datapath step. issues_ is reused scratch: reset the per-column fields
-  // (clear() keeps vector capacity, so steady state never allocates).
+  // datapath step. issues_ is reused scratch that hands the datapath the
+  // operand registers by pointer, so no operand is copied per cycle.
   for (unsigned c = 0; c < h; ++c) {
     const ColStep& st = steps_[c];
     Datapath::ColumnIssue& issue = issues_[c];
+    Float16* x_regs = &x_regs_[static_cast<size_t>(c) * geom_.l];
     issue.active = false;
     issue.first_traversal = false;
-    issue.init_acc.clear();
+    issue.init_acc = nullptr;
     // Padded columns never assign w below, so a stale broadcast from an
     // earlier cycle (possibly Inf/NaN) must not leak into their FMAs.
     issue.w = Float16{};
     if (!st.active) {
       issue.tag = PipeTag{};
-      issue.x.clear();  // observers must not see a stale operand snapshot
+      issue.x = nullptr;  // observers must not see a stale operand snapshot
       continue;
     }
 
     if (st.tau == 0) {
       // Operand-register load: latch the X elements for this traversal.
       if (st.padded) {
-        std::fill(x_regs_[c].begin(), x_regs_[c].end(), Float16{});
+        std::fill(x_regs, x_regs + geom_.l, Float16{});
       } else {
         const uint32_t q = static_cast<uint32_t>(st.n / js);
         XGroup* grp = xbuf_.find_ready(st.tile, q);
         REDMULE_ASSERT(grp != nullptr);
         const unsigned off = static_cast<unsigned>(st.n % js);
-        for (unsigned r = 0; r < geom_.l; ++r) x_regs_[c][r] = grp->rows[r][off];
+        for (unsigned r = 0; r < geom_.l; ++r) x_regs[r] = grp->rows[r][off];
         // Retire the line group once its last operand load happened.
         ++grp->uses;
         const uint32_t n0 = q * js;
@@ -214,13 +207,12 @@ bool RedmuleEngine::try_advance() {
     issue.active = true;
     issue.tag = PipeTag{st.tile, st.trav, st.tau, st.trav == tl.n_chunks - 1};
     issue.first_traversal = st.trav == 0;
-    issue.x = x_regs_[c];
+    issue.x = x_regs;
     if (job_.accumulate && c == 0 && st.trav == 0) {
       XGroup* ygrp = ybuf_.find_ready(st.tile, 0);
       REDMULE_ASSERT(ygrp != nullptr);
-      issue.init_acc.resize(geom_.l);
-      for (unsigned r = 0; r < geom_.l; ++r)
-        issue.init_acc[r] = ygrp->rows[r][st.tau];
+      for (unsigned r = 0; r < geom_.l; ++r) y_init_[r] = ygrp->rows[r][st.tau];
+      issue.init_acc = y_init_.data();
       if (st.tau == js - 1) ybuf_.pop_front();  // Y tile fully injected
     }
     if (!st.padded) {
@@ -232,9 +224,11 @@ bool RedmuleEngine::try_advance() {
       zbuf_.open_tile(st.tile);
   }
 
-  const std::optional<Datapath::Capture> cap = datapath_.advance(issues_);
-  if (observer_active_) observer_(ac_, issues_, cap);
-  if (cap.has_value()) {
+  const Datapath::Capture* cap = datapath_.advance(issues_);
+  if (observer_active_)
+    observer_(ac_, issues_,
+              cap != nullptr ? std::optional<Datapath::Capture>(*cap) : std::nullopt);
+  if (cap != nullptr) {
     zbuf_.capture(cap->tag.tile, cap->tag.tau, cap->values);
     if (cap->tag.tau == js - 1) {  // tile fully captured: emit row stores
       const unsigned mt = static_cast<unsigned>(cap->tag.tile / tl.k_tiles);

@@ -126,6 +126,9 @@ class RedmuleEngine : public sim::Clocked {
   };
 
   void start_job();
+  /// Zeroes the per-cycle schedule scratch (operand registers, decoded
+  /// steps, issue set) in place, keeping its storage.
+  void clear_schedule_scratch();
   void finish_job();
   bool try_advance();
 
@@ -145,14 +148,17 @@ class RedmuleEngine : public sim::Clocked {
   uint64_t ac_ = 0;          ///< array schedule counter (advance steps)
   uint64_t total_span_ = 0;  ///< issue window length = tiles * n_chunks * j_slots
   bool done_event_ = false;
-  /// Per-column X operand registers: loaded from the X-buffer at the first
-  /// j-slot of each traversal and held for the whole H*(P+1) window, as the
-  /// paper describes ("X-matrix elements of each FMA are held steady").
-  std::vector<std::vector<fp16::Float16>> x_regs_;
+  /// Per-column X operand registers, [c][row]: loaded from the X-buffer at
+  /// the first j-slot of each traversal and held for the whole H*(P+1)
+  /// window, as the paper describes ("X-matrix elements of each FMA are held
+  /// steady"). The datapath reads them in place through ColumnIssue::x.
+  std::vector<fp16::Float16> x_regs_;
+  /// Column 0's Y init row (L elements) on Y-accumulation cycles, gathered
+  /// from the Y-buffer's row-major lines and handed over by pointer.
+  std::vector<fp16::Float16> y_init_;
   /// Pre-allocated per-cycle scratch for try_advance(): sized once at
-  /// construction (H entries each), reset in start_job(), reused every
-  /// cycle. Hoisting these out of the hot loop removes the two per-cycle
-  /// heap allocations the seed kernel paid.
+  /// construction (H entries each), cleared in place by start_job(), reused
+  /// every cycle, so the hot loop never allocates.
   std::vector<ColStep> steps_;
   std::vector<Datapath::ColumnIssue> issues_;
 

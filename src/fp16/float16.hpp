@@ -207,15 +207,23 @@ inline double normal_to_double(Float16 f) {
   return d;
 }
 
-/// RNE-rounds a binary64 value to binary16, succeeding only when the result
-/// is a *normal* fp16 (the exactness window of the fast path). Returns false
-/// -- the caller falls back to the soft core -- for results that are zero,
-/// subnormal, or (would round to) out of the normal range.
+/// RNE-rounds a binary64 FMA sum to binary16, succeeding only when the
+/// result is a *normal* fp16 or an exact zero (the exactness window of the
+/// fast path). Returns false -- the caller falls back to the soft core -- for
+/// results that are subnormal or (would round to) out of the normal range.
 inline bool fast_pack_rne(double v, uint16_t* out) {
   uint64_t b;
   std::memcpy(&b, &v, sizeof(b));
   const int e = static_cast<int>((b >> 52) & 0x7FF) - 1023;
-  if (e < Float16::kEmin || e > Float16::kEmax) return false;
+  if (e < Float16::kEmin || e > Float16::kEmax) {
+    // An exact +-0 sum maps to the fp16 zero of the same sign: binary64 RNE
+    // already applied IEEE's signed-zero rule (x + -x = +0, -0 + -0 = -0),
+    // and a zero cannot come from underflow because every nonzero sum of
+    // fast-path operands is a multiple of 2^-48.
+    if ((b << 1) != 0) return false;
+    *out = static_cast<uint16_t>((b >> 63) << 15);
+    return true;
+  }
   const uint64_t frac = b & ((1ull << 52) - 1);
   uint64_t kept = frac >> 42;
   const uint64_t round_bit = (frac >> 41) & 1;
@@ -231,6 +239,16 @@ inline bool fast_pack_rne(double v, uint16_t* out) {
                                (static_cast<uint64_t>(ee + Float16::kBias) << 10) |
                                kept);
   return true;
+}
+
+/// One fast-path FMA lane, a*b + c under RNE with b already widened to \p bd
+/// (the caller checked b is normal or zero). Writes the fp16 bits and returns
+/// true when a and c are normal or zero and the result lies in the fast
+/// path's exactness window; returns false when the caller must use the soft
+/// core. Shared by Float16::fma and fma_row so the fast path exists once.
+inline bool fast_fma_lane(Float16 a, double bd, Float16 c, uint16_t* out) {
+  if (!is_normal_or_zero(a) || !is_normal_or_zero(c)) return false;
+  return fast_pack_rne(normal_to_double(a) * bd + normal_to_double(c), out);
 }
 
 }  // namespace detail
@@ -259,21 +277,46 @@ inline bool fast_pack_rne(double v, uint16_t* out) {
 //     tests/fp16/test_hw_crosscheck.cpp, including all rounding modes and
 //     the flag-observing entry points.)
 //
-// fast_pack_rne() bails (-> soft core) when the 53-bit result is outside the
-// fp16 *normal* range: subnormal/zero results need the soft core's tininess
-// and signed-zero handling, overflow its saturation logic.
+//  5. an exact zero sum keeps binary64's IEEE signed zero, which under RNE
+//     is the soft core's rule too (equal-signed zeros keep their sign, any
+//     other exact zero is +0).
+//
+// fast_pack_rne() bails (-> soft core) when the 53-bit result is nonzero and
+// outside the fp16 *normal* range: subnormal results need the soft core's
+// tininess handling, overflow its saturation logic.
 inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
                             Flags* flags) {
   if (detail::g_fast_fma_enabled.load(std::memory_order_relaxed) &&
-      rm == RoundingMode::kRNE && flags == nullptr &&
-      detail::is_normal_or_zero(a) && detail::is_normal_or_zero(b) &&
-      detail::is_normal_or_zero(c)) {
-    const double v = detail::normal_to_double(a) * detail::normal_to_double(b) +
-                     detail::normal_to_double(c);
+      rm == RoundingMode::kRNE && flags == nullptr && detail::is_normal_or_zero(b)) {
     uint16_t bits;
-    if (detail::fast_pack_rne(v, &bits)) return from_bits(bits);
+    if (detail::fast_fma_lane(a, detail::normal_to_double(b), c, &bits)) {
+      return from_bits(bits);
+    }
   }
   return fma_soft(a, b, c, rm, flags);
+}
+
+/// Row FMA: out[i] = fma(x[i], w, acc[i]) for i < n, RNE and no flags -- one
+/// datapath column's L FMAs of one cycle, sharing the broadcast W element.
+/// Bit-identical to calling fma_soft() per element (the row kernel is
+/// cross-checked against it in tests/fp16/test_hw_crosscheck.cpp); the kill
+/// switch and the classification and widening of \p w are hoisted out of the
+/// per-element loop, and lanes the fast path cannot take fall back to
+/// fma_soft() one element at a time. \p out must not alias \p x or \p acc.
+inline void fma_row(const Float16* x, Float16 w, const Float16* acc, Float16* out,
+                    unsigned n) {
+  if (!detail::g_fast_fma_enabled.load(std::memory_order_relaxed) ||
+      !detail::is_normal_or_zero(w)) {
+    for (unsigned i = 0; i < n; ++i) out[i] = Float16::fma_soft(x[i], w, acc[i]);
+    return;
+  }
+  const double wd = detail::normal_to_double(w);
+  for (unsigned i = 0; i < n; ++i) {
+    uint16_t bits;
+    out[i] = detail::fast_fma_lane(x[i], wd, acc[i], &bits)
+                 ? Float16::from_bits(bits)
+                 : Float16::fma_soft(x[i], w, acc[i]);
+  }
 }
 
 /// ULP distance between two finite encodings (for test tolerances).

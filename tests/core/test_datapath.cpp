@@ -18,19 +18,19 @@ TEST(Datapath, SingleColumnLatency) {
   // Issue 4 ops (tau 0..3) of the only traversal (tag last_traversal).
   for (uint32_t tau = 0; tau < 4; ++tau) {
     auto& is = issues[0];
+    const Float16 x[2] = {f16(1.0 + tau), f16(10.0 + tau)};
     is.active = true;
     is.tag = PipeTag{0, 0, tau, true};
     is.first_traversal = true;
     is.w = f16(2.0);
-    is.x = {f16(1.0 + tau), f16(10.0 + tau)};
-    const auto cap = dp.advance(issues);
-    EXPECT_FALSE(cap.has_value());  // nothing emerges during fill
+    is.x = x;
+    EXPECT_EQ(dp.advance(issues), nullptr);  // nothing emerges during fill
   }
   // Drain: captures appear exactly fma_latency cycles after each issue.
   issues[0].active = false;
   for (uint32_t tau = 0; tau < 4; ++tau) {
-    const auto cap = dp.advance(issues);
-    ASSERT_TRUE(cap.has_value()) << tau;
+    const Datapath::Capture* cap = dp.advance(issues);
+    ASSERT_NE(cap, nullptr) << tau;
     EXPECT_EQ(cap->tag.tau, tau);
     EXPECT_EQ(cap->values[0].to_double(), 2.0 * (1.0 + tau));
     EXPECT_EQ(cap->values[1].to_double(), 2.0 * (10.0 + tau));
@@ -43,11 +43,12 @@ TEST(Datapath, ResetClearsState) {
   Geometry g{1, 1, 0};
   Datapath dp(g);
   std::vector<Datapath::ColumnIssue> issues(1);
+  const Float16 x = f16(1.0);
   issues[0].active = true;
   issues[0].tag = PipeTag{0, 0, 0, false};
   issues[0].first_traversal = true;
   issues[0].w = f16(1.0);
-  issues[0].x = {f16(1.0)};
+  issues[0].x = &x;
   dp.advance(issues);
   EXPECT_FALSE(dp.drained());
   dp.reset();
@@ -61,10 +62,11 @@ TEST(Datapath, MisalignedScheduleAborts) {
   Geometry g{2, 1, 0};  // two columns, latency 1
   Datapath dp(g);
   std::vector<Datapath::ColumnIssue> issues(2);
+  const Float16 x = f16(1.0);
   issues[1].active = true;  // column 1 with no upstream data
   issues[1].tag = PipeTag{0, 0, 0, false};
   issues[1].w = f16(1.0);
-  issues[1].x = {f16(1.0)};
+  issues[1].x = &x;
   EXPECT_DEATH(dp.advance(issues), "upstream column bubble");
 }
 
@@ -82,6 +84,7 @@ TEST(Datapath, TwoColumnAccumulationWithFeedback) {
   const double ez1 = 1 * 6 + 2 * 8 + 3 * 10 + 4 * 12;
 
   std::vector<Datapath::ColumnIssue> issues(2);
+  Float16 xregs[2];  // one operand register per column (L = 1)
   std::vector<double> captured(2, -1);
   const unsigned n_chunks = 2, js = 2;
   for (unsigned ac = 0; ac < n_chunks * js + js; ++ac) {
@@ -99,10 +102,11 @@ TEST(Datapath, TwoColumnAccumulationWithFeedback) {
       is.tag = PipeTag{0, trav, tau, trav == n_chunks - 1};
       is.first_traversal = trav == 0;
       is.w = f16(w[n][tau]);
-      is.x = {f16(x[n])};
+      xregs[c] = f16(x[n]);
+      is.x = &xregs[c];
     }
-    const auto cap = dp.advance(issues);
-    if (cap.has_value()) captured[cap->tag.tau] = cap->values[0].to_double();
+    const Datapath::Capture* cap = dp.advance(issues);
+    if (cap != nullptr) captured[cap->tag.tau] = cap->values[0].to_double();
   }
   EXPECT_EQ(captured[0], ez0);
   EXPECT_EQ(captured[1], ez1);
@@ -117,7 +121,8 @@ TEST(Datapath, FmaOpsCountsAllLanes) {
   issues[0].tag = PipeTag{0, 0, 0, false};
   issues[0].first_traversal = true;
   issues[0].w = f16(1.0);
-  issues[0].x.assign(4, f16(1.0));
+  const Float16 x[4] = {f16(1.0), f16(1.0), f16(1.0), f16(1.0)};
+  issues[0].x = x;
   dp.advance(issues);
   EXPECT_EQ(dp.fma_ops(), 4u);  // one issue x L rows
 }

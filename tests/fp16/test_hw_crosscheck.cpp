@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fp16/float16.hpp"
@@ -214,12 +215,112 @@ TEST(Fp16FastFma, DirectedEligibilityEdges) {
                               << cb;
       }
   // Exact cancellation a*b == -c: the binary64 sum is exactly +0.0, which
-  // must bail to the soft core (RNE result is +0 with no flags).
+  // the fast path returns as the fp16 +0 the soft core produces.
   const Float16 one = Float16::from_bits(0x3C00);
   const Float16 two = Float16::from_bits(0x4000);
   const Float16 neg_two = Float16::from_bits(0xC000);
   EXPECT_EQ(Float16::fma(one, two, neg_two).bits(),
             Float16::fma_soft(one, two, neg_two).bits());
+}
+
+TEST(Fp16FastFma, ExhaustiveZeroProductWithZeroAddend) {
+  // Every normal-or-zero a times a signed zero, plus a signed zero: the
+  // fast path returns the binary64 signed zero, which must be the soft
+  // core's RNE signed zero in all sign combinations.
+  ASSERT_TRUE(fast_fma_enabled());
+  const Float16 zeros[] = {Float16::from_bits(Float16::kPosZero),
+                           Float16::from_bits(Float16::kNegZero)};
+  for (uint32_t ab = 0; ab <= 0xFFFF; ++ab) {
+    const Float16 a = Float16::from_bits(static_cast<uint16_t>(ab));
+    if (!detail::is_normal_or_zero(a)) continue;
+    for (const Float16 b : zeros)
+      for (const Float16 c : zeros)
+        ASSERT_EQ(Float16::fma(a, b, c).bits(), Float16::fma_soft(a, b, c).bits())
+            << std::hex << "a=0x" << ab << " b=0x" << b.bits() << " c=0x" << c.bits();
+  }
+}
+
+TEST(Fp16FastFma, ExhaustiveExactCancellation) {
+  // Every pair of normals whose product is an exact fp16 value, with the
+  // addend c = -(a*b): the exact sum is zero and must come out as the soft
+  // core's +0. Pairs are enumerated by significand: the product is exact
+  // only when the odd part of the 22-bit significand product fits in 11 bits.
+  ASSERT_TRUE(fast_fma_enabled());
+  uint64_t checked = 0;
+  for (uint32_t fa = 0; fa < 1024; ++fa)
+    for (uint32_t fb = 0; fb < 1024; ++fb) {
+      uint32_t odd = (1024 + fa) * (1024 + fb);
+      while ((odd & 1u) == 0) odd >>= 1;
+      if (odd >= 2048) continue;
+      for (uint32_t ea = 1; ea <= 30; ++ea)
+        for (uint32_t eb = 1; eb <= 30; ++eb)
+          for (const uint32_t sign_a : {0x0000u, 0x8000u})
+            for (const uint32_t sign_b : {0x0000u, 0x8000u}) {
+              const Float16 a =
+                  Float16::from_bits(static_cast<uint16_t>(sign_a | (ea << 10) | fa));
+              const Float16 b =
+                  Float16::from_bits(static_cast<uint16_t>(sign_b | (eb << 10) | fb));
+              Flags fl;
+              const Float16 p = Float16::mul(a, b, RoundingMode::kRNE, &fl);
+              if (fl.inexact) continue;  // also excludes overflow
+              const Float16 c = p.neg();
+              const uint16_t fast = Float16::fma(a, b, c).bits();
+              ASSERT_EQ(fast, Float16::fma_soft(a, b, c).bits())
+                  << std::hex << "a=0x" << a.bits() << " b=0x" << b.bits();
+              ASSERT_EQ(fast, Float16::kPosZero);
+              ++checked;
+            }
+    }
+  EXPECT_GT(checked, 1'000'000u);
+}
+
+/// Draws one encoding from every operand class the row kernel must handle:
+/// normals, signed zeros, subnormals, infinities, quiet and signaling NaNs.
+Float16 draw_any_class(Xoshiro256& rng) {
+  const uint16_t sign = static_cast<uint16_t>((rng.next_u16() & 1u) << 15);
+  const uint16_t frac = static_cast<uint16_t>(rng.next_u16() & 0x3FF);
+  switch (rng.next_u16() % 8) {
+    case 0:
+    case 1:
+      return Float16::from_bits(sign);  // +-0 (common: padding, ReLU masks)
+    case 2:
+      return Float16::from_bits(static_cast<uint16_t>(sign | (frac == 0 ? 1 : frac)));
+    case 3:
+      return Float16::from_bits(static_cast<uint16_t>(sign | 0x7C00));  // +-Inf
+    case 4:  // quiet or signaling NaN
+      return Float16::from_bits(static_cast<uint16_t>(
+          sign | 0x7C00 | ((rng.next_u16() & 1u) ? 0x200 : 0) | (frac | 1)));
+    default: {  // mid-range normals, so most results stay in the normal range
+      const uint16_t e = static_cast<uint16_t>(8 + (rng.next_u16() % 15));
+      return Float16::from_bits(static_cast<uint16_t>(sign | (e << 10) | frac));
+    }
+  }
+}
+
+TEST(Fp16FastFma, RowKernelMatchesSoftCorePerElement) {
+  // fma_row() hoists the kill switch and the w classification out of the
+  // lane loop; every lane must still equal the per-element soft core, with
+  // the fast path on and off.
+  Xoshiro256 rng(2024);
+  for (const bool fast : {true, false}) {
+    set_fast_fma_enabled(fast);
+    for (const unsigned l : {1u, 8u, 16u}) {
+      std::vector<Float16> x(l), acc(l), out(l);
+      for (int row = 0; row < 100'000; ++row) {
+        const Float16 w = draw_any_class(rng);
+        for (unsigned i = 0; i < l; ++i) {
+          x[i] = draw_any_class(rng);
+          acc[i] = draw_any_class(rng);
+        }
+        fma_row(x.data(), w, acc.data(), out.data(), l);
+        for (unsigned i = 0; i < l; ++i)
+          ASSERT_EQ(out[i].bits(), Float16::fma_soft(x[i], w, acc[i]).bits())
+              << std::hex << "fast=" << fast << " L=" << l << " x=0x" << x[i].bits()
+              << " w=0x" << w.bits() << " acc=0x" << acc[i].bits();
+      }
+    }
+  }
+  set_fast_fma_enabled(true);
 }
 
 TEST(Fp16FastFma, KillSwitchForcesSoftCore) {

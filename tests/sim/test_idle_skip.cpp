@@ -4,11 +4,15 @@
 /// contents, FP16 bit patterns -- must be identical with skipping disabled.
 #include <gtest/gtest.h>
 
+#include "api/workload.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/driver.hpp"
+#include "cluster/network_runner.hpp"
+#include "fp16/float16.hpp"
 #include "mem/dma.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/gemm.hpp"
+#include "workloads/network.hpp"
 
 namespace redmule::sim {
 namespace {
@@ -209,6 +213,65 @@ uint64_t run_dma_roundtrip(bool skipping) {
 
 TEST(IdleSkip, DmaBurstCycleCountUnchanged) {
   EXPECT_EQ(run_dma_roundtrip(true), run_dma_roundtrip(false));
+}
+
+// --------------------------------------------------------------------------
+// The shipping kernel (FMA fast path, row kernel, idle skipping) against the
+// reference (every FMA through the soft core, every module ticked) on the
+// paper autoencoder's training step, where most datapath FMAs produce an
+// exact zero: a zero W operand (ReLU-masked gradients, padded lanes) times a
+// zero accumulator.
+// --------------------------------------------------------------------------
+
+struct TrainingOutcome {
+  uint64_t z_hash = 0;  ///< the network workload's fold: output, then each dW
+  uint64_t sim_cycles = 0;
+  cluster::NetworkStats stats;
+};
+
+TrainingOutcome run_training_step(bool shipping, uint32_t batch) {
+  api::NetworkTrainingSpec spec;
+  spec.net.input_dim = 128;
+  spec.net.hidden = {64, 64, 64, 64, 8, 64, 64, 64, 64};
+  spec.net.batch = batch;
+  const api::NetworkTrainingWorkload wl(spec);
+  cluster::Cluster cl(api::resolve_cluster_config({}, wl.requirements()));
+  cl.sim().set_idle_skipping(shipping);
+  fp16::set_fast_fma_enabled(shipping);
+
+  cluster::RedmuleDriver drv(cl);
+  Xoshiro256 rng(spec.seed);
+  workloads::NetworkGraph net = workloads::NetworkGraph::autoencoder(spec.net, rng);
+  const auto x = workloads::random_matrix(net.input_dim(), batch, rng);
+  cluster::NetworkRunner runner(cl, drv);
+  auto r = runner.training_step(net, x, x, spec.lr);
+  fp16::set_fast_fma_enabled(true);
+
+  TrainingOutcome out;
+  out.z_hash = api::hash_matrix(r.out);
+  for (const workloads::MatrixF16& dw : r.dw) out.z_hash = api::hash_fold(out.z_hash, dw);
+  out.sim_cycles = cl.cycle();
+  out.stats = std::move(r.stats);
+  return out;
+}
+
+TEST(IdleSkip, AutoencoderTrainingStepMatchesReferenceKernel) {
+  using Phase = workloads::AeGemm::Phase;
+  for (const uint32_t batch : {4u, 16u}) {
+    const TrainingOutcome ref = run_training_step(false, batch);
+    const TrainingOutcome fast = run_training_step(true, batch);
+    EXPECT_EQ(fast.z_hash, ref.z_hash) << "B=" << batch;
+    EXPECT_EQ(fast.sim_cycles, ref.sim_cycles) << "B=" << batch;
+    EXPECT_EQ(fast.stats.total_cycles, ref.stats.total_cycles) << "B=" << batch;
+    EXPECT_EQ(fast.stats.macs, ref.stats.macs) << "B=" << batch;
+    for (const Phase p : {Phase::kForward, Phase::kGradInput, Phase::kGradWeight})
+      EXPECT_EQ(fast.stats.phase_cycles(p), ref.stats.phase_cycles(p))
+          << "B=" << batch << " phase " << workloads::AeGemm::phase_name(p);
+    ASSERT_EQ(fast.stats.gemms.size(), ref.stats.gemms.size());
+    for (size_t i = 0; i < fast.stats.gemms.size(); ++i)
+      EXPECT_EQ(fast.stats.gemms[i].tiled.fma_ops, ref.stats.gemms[i].tiled.fma_ops)
+          << "B=" << batch << " gemm " << i;
+  }
 }
 
 }  // namespace
