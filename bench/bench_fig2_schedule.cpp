@@ -116,7 +116,7 @@ int main() {
   }
   std::printf("\nPort access mix on 8x32x16 (default 32-FMA geometry):\n");
   for (const auto& [k, n] : kinds) std::printf("  %c accesses: %u\n", k, n);
-  std::printf("Expected: W = n_chunks*H = 8 lines (one per P+1 = 4 compute\n"
+  std::printf("Expected: W = n_chunks*H = 32 lines (one per P+1 = 4 compute\n"
               "cycles), X = 2 groups x 8 rows = 16, Z = 8 row stores.\n");
   return 0;
 }

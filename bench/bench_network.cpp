@@ -17,12 +17,16 @@
 ///
 /// Reported per batch size: end-to-end cycles, MAC/cycle, per-phase cycle
 /// split (forward / dX / dW), DMA traffic, and per-layer-GEMM cycles in the
-/// JSON (the layer breakdown).
+/// JSON (the layer breakdown). Those records are exact; the one timed pair
+/// per batch size is the host time of a training step (`host_step_ms`,
+/// median and minimum over repeated steps on the same cluster).
 ///
 /// Usage: bench_network [--smoke] [--out <path>]
 ///   --smoke   reduced autoencoder (CI rot check, not a measurement)
 ///   --out     JSON output path (default: BENCH_network.json in the CWD;
 ///             run from the repo root to refresh the committed file)
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -92,12 +96,13 @@ int main(int argc, char** argv) {
       smoke ? std::vector<uint32_t>{1, 4} : std::vector<uint32_t>{1, 2, 4, 8, 16};
   constexpr double kFreqMhz = 476.0;  // paper's peak-efficiency operating point
   constexpr double kLr = 0.01;
+  const int timed_steps = smoke ? 1 : 7;
 
   JsonBenchWriter json("network_training");
   json.add("smoke", smoke ? 1 : 0, "bool");
 
   TablePrinter table({"B", "Layers", "GEMMs", "Cycles", "us@476MHz", "FW cyc",
-                      "dX cyc", "dW cyc", "MAC/cyc", "DMA B/cyc"});
+                      "dX cyc", "dW cyc", "MAC/cyc", "DMA B/cyc", "host ms"});
   bool all_exact = true;
   double first_mpc = 0.0, last_mpc = 0.0;
 
@@ -170,6 +175,19 @@ int main(int argc, char** argv) {
       json.add(p + "." + gs.shape.name + ".cycles",
                static_cast<double>(gs.tiled.total_cycles), "cycle");
 
+    // --- Host time per step (timed) -----------------------------------------
+    std::vector<double> step_ms;
+    for (int r = 0; r < timed_steps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      runner.training_step(net_hw, x, x, kLr);
+      step_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+    }
+    std::sort(step_ms.begin(), step_ms.end());
+    json.add(p + ".host_step_ms_median", step_ms[step_ms.size() / 2], "ms");
+    json.add(p + ".host_step_ms_min", step_ms.front(), "ms");
+
     table.add_row(
         {std::to_string(batch), std::to_string(net_hw.n_layers()),
          TablePrinter::fmt_int(hw.stats.gemms.size()),
@@ -181,7 +199,8 @@ int main(int argc, char** argv) {
                                ? static_cast<double>(dma_bytes) /
                                      static_cast<double>(hw.stats.total_cycles)
                                : 0.0,
-                           2)});
+                           2),
+         TablePrinter::fmt(step_ms[step_ms.size() / 2], 1)});
   }
 
   const bool trend_ok = last_mpc > first_mpc;

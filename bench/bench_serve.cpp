@@ -6,7 +6,9 @@
 /// Measures the cost the socket/session layer adds on top of api::Service:
 ///
 ///  - LATENCY: sequential submit->RESULT round trips over a unix socket
-///    (p50/p95/p99), against the same workload executed directly in-process;
+///    (p50/p95/p99), against the same spec submitted to a warm, pooled
+///    in-process api::Service with the server's worker count, the two
+///    interleaved request by request so host drift hits both alike;
 ///  - THROUGHPUT: several clients keeping a deep pipeline of jobs in flight,
 ///    end-to-end jobs/s through one server;
 ///  - OVERLOAD: a bounded service queue under a burst 4x its capacity --
@@ -96,18 +98,27 @@ int main(int argc, char** argv) {
     server.start();
     serve::Client client(serve::ClientConfig{server.address(), "lat", 60000});
 
-    // Direct-execution baseline for the same spec, same process.
-    std::vector<double> direct_ms;
-    for (int i = 0; i < latency_reqs; ++i) {
-      auto w = api::WorkloadRegistry::global().create(spec);
-      const auto t0 = Clock::now();
-      const api::WorkloadResult r = api::Service::run_one(*w, {}, false);
-      direct_ms.push_back(ms_since(t0));
-      if (r.z_hash != want_hash) ++mismatches;
+    // In-process baseline: the server's own execution layer (a pooled
+    // Service with the same workers), so the difference is the socket and
+    // session layer alone. Fresh construction per job (Service::run_one)
+    // would charge the baseline for cluster set-up the server never pays.
+    api::Service direct(cfg.service);
+    auto direct_run = [&] {
+      return direct.submit(api::WorkloadRegistry::global().create(spec)).get();
+    };
+    constexpr int kWarmup = 10;  // fill both pools before timing
+    for (int i = 0; i < kWarmup; ++i) {
+      if (direct_run().z_hash != want_hash) ++mismatches;
+      const serve::Client::Outcome o = client.run(spec);
+      if (!o.ok() || o.result.z_hash != want_hash) ++mismatches;
     }
-    std::vector<double> remote_ms;
+    std::vector<double> direct_ms, remote_ms;
     for (int i = 0; i < latency_reqs; ++i) {
-      const auto t0 = Clock::now();
+      auto t0 = Clock::now();
+      const api::WorkloadResult r = direct_run();
+      direct_ms.push_back(ms_since(t0));
+      if (!r.ok() || r.z_hash != want_hash) ++mismatches;
+      t0 = Clock::now();
       const serve::Client::Outcome o = client.run(spec);
       remote_ms.push_back(ms_since(t0));
       if (!o.ok() || o.result.z_hash != want_hash) ++mismatches;
@@ -115,11 +126,14 @@ int main(int argc, char** argv) {
     const double d50 = percentile(direct_ms, 0.50);
     const double r50 = percentile(remote_ms, 0.50);
     std::printf("latency over %d reqs (%s):\n", latency_reqs, spec.c_str());
-    std::printf("  direct p50 %.3f ms | remote p50 %.3f ms  p95 %.3f  p99 %.3f"
+    std::printf("  in-process p50 %.3f ms | remote p50 %.3f ms  p95 %.3f  p99 %.3f"
                 "  (overhead p50 %.3f ms)\n",
                 d50, r50, percentile(remote_ms, 0.95),
                 percentile(remote_ms, 0.99), r50 - d50);
     json.add("latency.requests", latency_reqs, "req");
+    // Baseline kind: 1 = warm pooled in-process Service (not run_one).
+    json.add("latency.direct_is_pooled_service", 1, "bool");
+    json.add("latency.direct_workers", cfg.service.n_threads, "threads");
     json.add("latency.direct_p50_ms", d50, "ms");
     json.add("latency.remote_p50_ms", r50, "ms");
     json.add("latency.remote_p95_ms", percentile(remote_ms, 0.95), "ms");

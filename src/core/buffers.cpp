@@ -161,12 +161,12 @@ bool ZBuffer::tile_open(uint64_t tile) const {
 }
 
 void ZBuffer::capture(uint64_t tile, uint32_t tau,
-                      const std::vector<fp16::Float16>& values) {
-  REDMULE_ASSERT(values.size() == geom_.l);
+                      std::span<const fp16::Float16> values) {
+  REDMULE_ASSERT(values.size() <= geom_.l);
   for (TileBuf& b : open_tiles_) {
     if (b.tile != tile) continue;
     REDMULE_ASSERT(tau < geom_.j_slots());
-    for (unsigned r = 0; r < geom_.l; ++r) b.rows[r][tau] = values[r];
+    for (size_t r = 0; r < values.size(); ++r) b.rows[r][tau] = values[r];
     return;
   }
   REDMULE_ASSERT_MSG(false, "capture into a tile that was never opened");
@@ -180,11 +180,11 @@ void ZBuffer::close_tile(uint64_t tile, uint32_t z_ptr, const Job& job, unsigned
   TileBuf buf = std::move(open_tiles_.front());
   open_tiles_.pop_front();
 
-  const unsigned js = geom_.j_slots();
-  const uint32_t j0 = kt * js;
-  const unsigned valid_cols = std::min<unsigned>(js, job.k - j0);
+  const Tiling tl(job, geom_);
+  const uint32_t j0 = kt * geom_.j_slots();
+  const unsigned valid_cols = tl.valid_cols(kt);
   const unsigned r0 = mt * geom_.l;
-  const unsigned valid_rows = std::min<unsigned>(geom_.l, job.m - r0);
+  const unsigned valid_rows = tl.valid_rows(mt);
   for (unsigned r = 0; r < valid_rows; ++r) {
     ZStore st;
     if (!store_pool_.empty()) {  // recycle a drained store's data storage

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -126,9 +127,11 @@ class ZBuffer {
   bool can_open_tile() const;
   void open_tile(uint64_t tile);
   bool tile_open(uint64_t tile) const;
-  /// Captures the column of Z values for j-slot \p tau (one value per row).
-  void capture(uint64_t tile, uint32_t tau, const std::vector<fp16::Float16>& values);
-  /// Seals the tile and emits row stores for the valid region.
+  /// Captures the column of Z values for j-slot \p tau: \p values holds
+  /// rows 0 .. values.size()-1 (at most L); rows past it are not written.
+  void capture(uint64_t tile, uint32_t tau, std::span<const fp16::Float16> values);
+  /// Seals the tile and emits row stores for the valid region
+  /// (Tiling::valid_rows(mt) x Tiling::valid_cols(kt)).
   void close_tile(uint64_t tile, uint32_t z_ptr, const Job& job, unsigned mt,
                   unsigned kt);
 

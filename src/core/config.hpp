@@ -2,6 +2,7 @@
 /// \brief RedMulE design-time geometry and run-time job descriptor.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/bits.hpp"
@@ -73,9 +74,22 @@ struct Tiling {
       : m_tiles(ceil_div(job.m, g.l)),
         k_tiles(ceil_div(job.k, g.j_slots())),
         n_chunks(ceil_div(job.n, g.h)),
-        x_groups(ceil_div(job.n, g.j_slots())) {}
+        x_groups(ceil_div(job.n, g.j_slots())),
+        m_(job.m),
+        k_(job.k),
+        l_(g.l),
+        js_(g.j_slots()) {}
 
   unsigned tiles() const { return m_tiles * k_tiles; }
+  /// Rows of Z that row tile \p mt covers: L, or M - mt*L on the last one.
+  /// Together with valid_cols() this is the one definition of which array
+  /// lanes are loaded, computed and stored.
+  unsigned valid_rows(unsigned mt) const { return std::min(l_, m_ - mt * l_); }
+  /// Columns of Z that column tile \p kt covers: j_slots, or K - kt*j_slots.
+  unsigned valid_cols(unsigned kt) const { return std::min(js_, k_ - kt * js_); }
+
+ private:
+  unsigned m_, k_, l_, js_;
 };
 
 /// Analytical lower bound on the job's execution cycles, assuming perfect

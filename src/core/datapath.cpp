@@ -70,7 +70,10 @@ const Datapath::Capture* Datapath::advance(const std::vector<ColumnIssue>& issue
       acc = issue.init_acc != nullptr ? issue.init_acc : zeros_.data();
     }
     tags_[e] = issue.tag;
-    fp16::fma_row(issue.x, issue.w, acc, &vals_[e * l], l);
+    // Dead lanes are clocked (and counted) by the hardware but never stored,
+    // so only the live rows are computed.
+    const unsigned live = std::min(issue.live_rows, l);
+    if (live != 0) fp16::fma_row(issue.x, issue.w, acc, &vals_[e * l], live);
     fma_ops_ += l;
   }
   head_ = head_ + 1 == lat_ ? 0 : head_ + 1;

@@ -47,12 +47,20 @@ class Datapath {
     /// First-traversal accumulator initialization: the streamed Y elements
     /// (L of them) for the Z = Y + X*W extension; null means zeros (Z = X*W).
     const fp16::Float16* init_acc = nullptr;
+    /// Rows whose result can reach memory: L, fewer on the last row tile of
+    /// Z, 0 for a j-slot past the tile's last column of Z. Only rows below
+    /// it are computed; the schedule, tags and asserts run for every lane.
+    /// Must be the same for every issue of one (tile, tau) -- lanes never
+    /// mix, so a dead lane can never feed a live one. Default: all rows.
+    unsigned live_rows = ~0u;
   };
 
   /// Finished Z-row chunk emerging from the last column.
   struct Capture {
     PipeTag tag;
-    std::vector<fp16::Float16> values;  ///< one Z element per row (size L)
+    /// One Z element per row (size L). Rows at or past the issues'
+    /// live_rows hold unspecified values: dead lanes are not computed.
+    std::vector<fp16::Float16> values;
   };
 
   /// Advances the array by one (unstalled) cycle. \p issues has exactly H
@@ -64,8 +72,8 @@ class Datapath {
   void reset();
 
   const Geometry& geometry() const { return geom_; }
-  /// Total FMA operations performed (including padded lanes), for the
-  /// power model's activity factor.
+  /// FMA operations the hardware performs: L per active column issue,
+  /// padded and dead lanes included, for the power model's activity factor.
   uint64_t fma_ops() const { return fma_ops_; }
   /// True if no valid data is in flight.
   bool drained() const;

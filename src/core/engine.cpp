@@ -208,6 +208,7 @@ bool RedmuleEngine::try_advance() {
     issue.tag = PipeTag{st.tile, st.trav, st.tau, st.trav == tl.n_chunks - 1};
     issue.first_traversal = st.trav == 0;
     issue.x = x_regs;
+    issue.live_rows = live_rows(st.tile, st.tau);
     if (job_.accumulate && c == 0 && st.trav == 0) {
       XGroup* ygrp = ybuf_.find_ready(st.tile, 0);
       REDMULE_ASSERT(ygrp != nullptr);
@@ -229,7 +230,9 @@ bool RedmuleEngine::try_advance() {
     observer_(ac_, issues_,
               cap != nullptr ? std::optional<Datapath::Capture>(*cap) : std::nullopt);
   if (cap != nullptr) {
-    zbuf_.capture(cap->tag.tile, cap->tag.tau, cap->values);
+    const unsigned live = live_rows(cap->tag.tile, cap->tag.tau);
+    if (live != 0)
+      zbuf_.capture(cap->tag.tile, cap->tag.tau, {cap->values.data(), live});
     if (cap->tag.tau == js - 1) {  // tile fully captured: emit row stores
       const unsigned mt = static_cast<unsigned>(cap->tag.tile / tl.k_tiles);
       const unsigned kt = static_cast<unsigned>(cap->tag.tile % tl.k_tiles);
@@ -238,6 +241,13 @@ bool RedmuleEngine::try_advance() {
   }
   ++ac_;
   return true;
+}
+
+unsigned RedmuleEngine::live_rows(uint64_t tile, uint32_t tau) const {
+  const Tiling& tl = *tiling_;
+  const unsigned mt = static_cast<unsigned>(tile / tl.k_tiles);
+  const unsigned kt = static_cast<unsigned>(tile % tl.k_tiles);
+  return tau < tl.valid_cols(kt) ? tl.valid_rows(mt) : 0;
 }
 
 void RedmuleEngine::tick() {

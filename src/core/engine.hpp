@@ -63,7 +63,9 @@ class RedmuleEngine : public sim::Clocked {
   /// Debug/visualization hook: invoked after every successful array advance
   /// with the schedule counter, the issue set (inactive columns have
   /// active = false) and the capture, if any. Used by the Fig. 2 schedule
-  /// bench and by schedule-verification tests; zero cost when unset.
+  /// bench and by schedule-verification tests; zero cost when unset. Capture
+  /// rows at or past the issues' live_rows (dead lanes: rows past M, j-slots
+  /// past K) hold unspecified values; only the live rows reach Z.
   using ScheduleObserver =
       std::function<void(uint64_t ac, const std::vector<Datapath::ColumnIssue>&,
                          const std::optional<Datapath::Capture>&)>;
@@ -131,6 +133,9 @@ class RedmuleEngine : public sim::Clocked {
   void clear_schedule_scratch();
   void finish_job();
   bool try_advance();
+  /// Datapath rows of lane set (tile, tau) whose results reach Z: the
+  /// tile's valid rows, or 0 for a j-slot past its valid columns.
+  unsigned live_rows(uint64_t tile, uint32_t tau) const;
 
   Geometry geom_;
   mem::Hci& hci_;

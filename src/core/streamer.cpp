@@ -74,9 +74,8 @@ void Streamer::advance_w_iter() {
 void Streamer::advance_x_iter() {
   const Tiling& t = *tiling_;
   const unsigned mt = static_cast<unsigned>(x_iter_.tile / t.k_tiles);
-  const unsigned valid_rows = std::min<unsigned>(geom_.l, job_.m - mt * geom_.l);
   ++x_iter_.row;
-  if (x_iter_.row < valid_rows) return;
+  if (x_iter_.row < t.valid_rows(mt)) return;
   x_iter_.row = 0;
   x_iter_.group_opened = false;
   ++x_iter_.q;
@@ -99,7 +98,7 @@ std::optional<Streamer::InFlight> Streamer::make_w_request() {
   f.col = w_iter_.col;
   f.tile = w_iter_.tile;
   f.trav = w_iter_.trav;
-  f.valid_halfwords = std::min<unsigned>(geom_.j_slots(), job_.k - j0);
+  f.valid_halfwords = t.valid_cols(kt);
   f.req.addr = job_.w_ptr + (n_row * job_.k + j0) * 2;
   f.req.n_halfwords = f.valid_halfwords;
   f.req.we = false;
@@ -110,10 +109,9 @@ std::optional<Streamer::InFlight> Streamer::make_x_request() {
   if (x_iter_.done) return std::nullopt;
   const Tiling& t = *tiling_;
   const unsigned mt = static_cast<unsigned>(x_iter_.tile / t.k_tiles);
-  const unsigned valid_rows = std::min<unsigned>(geom_.l, job_.m - mt * geom_.l);
   if (!x_iter_.group_opened) {
     if (!xbuf_.can_accept_group()) return std::nullopt;
-    xbuf_.open_group(x_iter_.tile, x_iter_.q, valid_rows);
+    xbuf_.open_group(x_iter_.tile, x_iter_.q, t.valid_rows(mt));
     x_iter_.group_opened = true;
   }
   const uint32_t r_global = mt * geom_.l + x_iter_.row;
@@ -131,9 +129,8 @@ std::optional<Streamer::InFlight> Streamer::make_x_request() {
 void Streamer::advance_y_iter() {
   const Tiling& t = *tiling_;
   const unsigned mt = static_cast<unsigned>(y_iter_.tile / t.k_tiles);
-  const unsigned valid_rows = std::min<unsigned>(geom_.l, job_.m - mt * geom_.l);
   ++y_iter_.row;
-  if (y_iter_.row < valid_rows) return;
+  if (y_iter_.row < t.valid_rows(mt)) return;
   y_iter_.row = 0;
   y_iter_.group_opened = false;
   ++y_iter_.tile;
@@ -145,17 +142,16 @@ std::optional<Streamer::InFlight> Streamer::make_y_request() {
   const Tiling& t = *tiling_;
   const unsigned mt = static_cast<unsigned>(y_iter_.tile / t.k_tiles);
   const unsigned kt = static_cast<unsigned>(y_iter_.tile % t.k_tiles);
-  const unsigned valid_rows = std::min<unsigned>(geom_.l, job_.m - mt * geom_.l);
   if (!y_iter_.group_opened) {
     if (!ybuf_.can_accept_group()) return std::nullopt;
-    ybuf_.open_group(y_iter_.tile, 0, valid_rows);
+    ybuf_.open_group(y_iter_.tile, 0, t.valid_rows(mt));
     y_iter_.group_opened = true;
   }
   const uint32_t r_global = mt * geom_.l + y_iter_.row;
   const uint32_t j0 = kt * geom_.j_slots();
   InFlight f;
   f.kind = Kind::kYLoad;
-  f.valid_halfwords = std::min<unsigned>(geom_.j_slots(), job_.k - j0);
+  f.valid_halfwords = t.valid_cols(kt);
   f.req.addr = job_.y_ptr + (r_global * job_.k + j0) * 2;
   f.req.n_halfwords = f.valid_halfwords;
   f.req.we = false;
