@@ -64,6 +64,44 @@ std::vector<LayerGeom> geoms_from_dims(const std::vector<uint32_t>& dims,
   return geoms;
 }
 
+/// One lowered GEMM of a layer: its real shape (named "L<l>.fw|dW|dX") and
+/// the padded extents its tiled plan covers -- fw m x pad(n) x pad(kk),
+/// dW m x Bp x pad(n), dX n x pad(m) x Bp. The one formula a run plans with
+/// and min_tcdm_bytes sizes with, so TCDM sizing cannot drift from a run.
+struct PhaseGemm {
+  workloads::GemmShape shape;
+  uint32_t m = 0, n = 0, k = 0;
+};
+
+PhaseGemm phase_gemm(const LayerGeom& g, size_t l, AeGemm::Phase phase,
+                     uint32_t batch) {
+  const uint32_t bp = pad_even(batch);
+  const std::string name = 'L' + std::to_string(l);
+  if (phase == AeGemm::Phase::kForward)
+    return {{name + ".fw", g.m, g.n, g.kk}, g.m, pad_even(g.n), pad_even(g.kk)};
+  if (phase == AeGemm::Phase::kGradWeight)
+    return {{name + ".dW", g.m, batch, g.n}, g.m, bp, pad_even(g.n)};
+  return {{name + ".dX", g.n, g.m, batch}, g.n, pad_even(g.m), bp};
+}
+
+/// Word-aligned bump allocation of (rows x cols) FP16 regions from \p base.
+/// With base = 0 a layout built on it doubles as its sizing function.
+class RegionAlloc {
+ public:
+  explicit RegionAlloc(uint32_t base) : base_(base), next_(base) {}
+  uint32_t operator()(uint64_t rows, uint64_t cols) {
+    const uint64_t addr = next_;
+    next_ += (rows * cols * 2 + 3) & ~3ull;  // keep regions word-aligned
+    if (next_ > UINT32_MAX)
+      throw CapacityError("network L2 layout exceeds the address space");
+    return static_cast<uint32_t>(addr);
+  }
+  uint64_t used() const { return next_ - base_; }
+
+ private:
+  uint64_t base_, next_;
+};
+
 /// Byte addresses of one layer's L2 regions (0 = not allocated).
 struct LayerAddrs {
   uint32_t weight = 0;    ///< (m x pad_even(n))
@@ -83,20 +121,11 @@ struct Layout {
   uint64_t total_bytes = 0;
 };
 
-/// Allocates every region of a run in a fixed order from \p base. With
-/// base = 0 this doubles as the sizing function (total_bytes).
+/// Allocates every region of a run in a fixed order from \p base.
 Layout build_layout(const std::vector<LayerGeom>& geoms, uint32_t batch,
                     bool training, uint32_t base) {
   const uint32_t bp = pad_even(batch);
-  uint64_t next = base;
-  auto alloc = [&next](uint64_t rows, uint64_t cols) {
-    const uint64_t addr = next;
-    next += (rows * cols * 2 + 3) & ~3ull;  // keep regions word-aligned
-    if (next > UINT32_MAX)
-      throw CapacityError("network layout exceeds the address space");
-    return static_cast<uint32_t>(addr);
-  };
-
+  RegionAlloc alloc(base);
   Layout lay;
   lay.input = alloc(pad_even(geoms.front().in_vec), bp);
   for (const LayerGeom& g : geoms) {
@@ -124,7 +153,51 @@ Layout build_layout(const std::vector<LayerGeom>& geoms, uint32_t batch,
     lay.dy0 = alloc(max_out, bp);
     lay.dy1 = alloc(max_out, bp);
   }
-  lay.total_bytes = next - base;
+  lay.total_bytes = alloc.used();
+  return lay;
+}
+
+/// L2 regions of a DwAccumulator: per-layer resident partials plus one
+/// (dY, A^T) staging pair sized for the widest slice.
+struct AccLayout {
+  std::vector<uint32_t> dw;  ///< per layer, (m x pad_even(n))
+  uint32_t dy = 0;           ///< scratch, (max m x Bp)
+  uint32_t act_t = 0;        ///< scratch, (Bp x max pad_even(n))
+  uint64_t total_bytes = 0;
+};
+
+AccLayout build_acc_layout(const std::vector<LayerGeom>& geoms, uint32_t bp,
+                           uint32_t base) {
+  RegionAlloc alloc(base);
+  AccLayout lay;
+  uint32_t max_m = 0, max_np = 0;
+  for (const LayerGeom& g : geoms) {
+    lay.dw.push_back(alloc(g.m, pad_even(g.n)));
+    max_m = std::max(max_m, g.m);
+    max_np = std::max(max_np, pad_even(g.n));
+  }
+  lay.dy = alloc(max_m, bp);
+  lay.act_t = alloc(bp, max_np);
+  lay.total_bytes = alloc.used();
+  return lay;
+}
+
+/// Rejects, with a typed kCapacity, a layout of \p bytes that \p l2 cannot
+/// hold -- before anything is staged or executed.
+void require_fits(const mem::L2Memory& l2, uint64_t bytes, const std::string& what) {
+  if (bytes > l2.config().size_bytes)
+    throw CapacityError("L2 too small for the " + what + " layout (" +
+                        std::to_string(bytes) + " bytes needed, " +
+                        std::to_string(l2.config().size_bytes) + " available)");
+}
+
+/// The forward or training layout for (geoms, batch) on this L2,
+/// capacity-checked.
+Layout layout_checked(const mem::L2Memory& l2, const std::vector<LayerGeom>& geoms,
+                      uint32_t batch, bool training) {
+  Layout lay = build_layout(geoms, batch, training, l2.config().base_addr);
+  require_fits(l2, lay.total_bytes,
+               training ? "network training" : "network forward");
   return lay;
 }
 
@@ -141,6 +214,72 @@ void write_mat(mem::L2Memory& l2, uint32_t addr, const MatrixF16& m) {
 void zero_region(mem::L2Memory& l2, uint32_t addr, uint32_t rows, uint32_t cols) {
   write_mat(l2, addr, MatrixF16(rows, cols));
 }
+
+/// Stages every layer's resident regions: weights padded per the lowering
+/// contract (plus, for training, their transposes and zeroed gradients) and
+/// the scratch/activation regions zeroed. All through the zero-time L2
+/// backdoor over disjoint regions, so staging order is invisible in
+/// simulated cycles and in every staged bit.
+void stage_layers(mem::L2Memory& l2, const NetworkGraph& net,
+                  const std::vector<LayerGeom>& geoms, const Layout& lay,
+                  uint32_t batch, bool training) {
+  const uint32_t bp = pad_even(batch);
+  for (size_t l = 0; l < geoms.size(); ++l) {
+    const LayerGeom& g = geoms[l];
+    const LayerAddrs& a = lay.layers[l];
+    const MatrixF16& w = net.layer(l).weight;
+    write_mat(l2, a.weight, pad_to(w, g.m, pad_even(g.n)));
+    if (training) {
+      write_mat(l2, a.wt, pad_to(w.transposed(), g.n, pad_even(g.m)));
+      zero_region(l2, a.dw, g.m, pad_even(g.n));
+    }
+    if (g.conv) {
+      zero_region(l2, a.patches, pad_even(g.n), pad_even(g.kk));
+      zero_region(l2, a.gemm_out, g.m, pad_even(g.kk));
+    }
+    zero_region(l2, a.pre, pad_even(g.out_vec), bp);
+    if (g.relu) zero_region(l2, a.act, pad_even(g.out_vec), bp);
+  }
+}
+
+/// Issues the lowered GEMMs of one network run on one cluster and records
+/// each as a NetworkGemmStats entry of \p stats: its useful MACs are added
+/// to stats.macs, and stats.total_cycles spans from construction to the
+/// end of the latest GEMM.
+class GemmRecorder {
+ public:
+  GemmRecorder(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions opts,
+               NetworkStats& stats)
+      : cl_(cl), drv_(drv), tiled_(cl, drv, TiledGemmOptions{opts.double_buffer}),
+        stats_(stats), cycle0_(cl.cycle()) {}
+
+  /// Plans and runs layer \p l's \p phase GEMM over resident L2 operands,
+  /// records it, then polls the run control. \p has_y is explicit because
+  /// y_addr == 0 is a real region when the L2 base address is 0.
+  void run(const LayerGeom& g, size_t l, AeGemm::Phase phase, uint32_t batch,
+           const StagedGemm& addrs, bool has_y) {
+    const PhaseGemm e = phase_gemm(g, l, phase, batch);
+    NetworkGemmStats gs;
+    gs.layer = static_cast<unsigned>(l);
+    gs.phase = phase;
+    gs.shape = e.shape;
+    const TiledGemmPlan plan = workloads::plan_tiled_gemm(
+        e.m, e.n, e.k, has_y, drv_.bytes_free(), cl_.config().geometry);
+    gs.tiled = tiled_.run_staged(addrs, plan);
+    gs.tiled.macs = gs.shape.macs();  // useful MACs, not the padded grid's
+    stats_.macs += gs.tiled.macs;
+    stats_.gemms.push_back(std::move(gs));
+    stats_.total_cycles = cl_.cycle() - cycle0_;
+    cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
+  }
+
+ private:
+  Cluster& cl_;
+  RedmuleDriver& drv_;
+  TiledGemmRunner tiled_;
+  NetworkStats& stats_;
+  uint64_t cycle0_;
+};
 
 /// Bias add on the *real* region of an in-memory GEMM output (the lowering
 /// rule: pad columns stay exactly +0).
@@ -161,66 +300,55 @@ void apply_relu(mem::L2Memory& l2, uint32_t pre_addr, uint32_t act_addr,
   write_mat(l2, act_addr, v);
 }
 
-/// One linear layer forward on resident operands: the tiled GEMM into the
-/// pre buffer, bias on the real region, ReLU into the act buffer. The ONE
-/// implementation both forward() and training_step() run, so the
-/// elementwise contract cannot drift between the two paths.
-NetworkGemmStats run_linear_layer(Cluster& cl, RedmuleDriver& drv,
-                                  TiledGemmRunner& tiled, const NetworkLayer& layer,
-                                  const LayerGeom& g, const LayerAddrs& a,
-                                  uint32_t cur_act, uint32_t batch, uint32_t bp,
-                                  size_t l) {
-  auto& l2 = cl.l2();
-  NetworkGemmStats gs;
-  gs.layer = static_cast<unsigned>(l);
-  gs.phase = AeGemm::Phase::kForward;
-  gs.shape = {"L" + std::to_string(l) + ".fw", g.m, g.n, g.kk};
-  const TiledGemmPlan plan = workloads::plan_tiled_gemm(
-      g.m, pad_even(g.n), bp, false, drv.bytes_free(), cl.config().geometry);
-  gs.tiled = tiled.run_staged({a.weight, cur_act, a.pre, 0}, plan);
-  gs.tiled.macs = gs.shape.macs();  // useful MACs, not the padded grid's
-  cl.sim().checkpoint();            // per-GEMM deadline/cancel poll point
+/// The forward walk over a staged layout, activations kept resident per
+/// layer: the ONE implementation forward() and training run, so the
+/// elementwise contract cannot drift between them. Conv layers first stage
+/// their im2col patch matrix; every layer then runs one GEMM, bias on the
+/// real region and ReLU into the act buffer. Returns the output's address.
+uint32_t run_forward(mem::L2Memory& l2, GemmRecorder& gemms,
+                     const NetworkGraph& net, const std::vector<LayerGeom>& geoms,
+                     const Layout& lay, uint32_t batch) {
+  const uint32_t bp = pad_even(batch);
+  uint32_t cur_act = lay.input;
+  for (size_t l = 0; l < geoms.size(); ++l) {
+    const LayerGeom& g = geoms[l];
+    const LayerAddrs& a = lay.layers[l];
+    const NetworkLayer& layer = net.layer(l);
+    const uint32_t kkp = pad_even(g.kk);
 
-  if (!layer.bias.empty()) {
-    MatrixF16 z = read_mat(l2, a.pre, g.m, bp);
-    apply_bias(z, layer.bias, g.m, batch);
-    write_mat(l2, a.pre, z);
+    StagedGemm addrs{a.weight, cur_act, a.pre, 0};
+    if (g.conv) {
+      REDMULE_REQUIRE(batch == 1, "conv layers require batch 1");
+      // im2col front-end: reshape the resident activation column to the
+      // (C x H*W) image and stage the padded patch matrix.
+      const workloads::Conv2dParams& p = layer.conv;
+      const MatrixF16 col = read_mat(l2, cur_act, g.in_vec, bp);
+      MatrixF16 img(p.in_channels, static_cast<size_t>(p.in_h) * p.in_w);
+      for (size_t r = 0; r < img.rows(); ++r)
+        for (size_t c = 0; c < img.cols(); ++c)
+          img(r, c) = col(r * img.cols() + c, 0);
+      write_mat(l2, a.patches, pad_to(im2col(img, p), pad_even(g.n), kkp));
+      addrs = {a.weight, a.patches, a.gemm_out, 0};
+    }
+    gemms.run(g, l, AeGemm::Phase::kForward, batch, addrs, /*has_y=*/false);
+
+    // Bias on the real region; a conv output is then flattened row-major
+    // into the activation column (the pre buffer was zeroed, pads stay +0).
+    if (g.conv || !layer.bias.empty()) {
+      MatrixF16 z = read_mat(l2, addrs.z_addr, g.m, kkp);
+      if (!layer.bias.empty()) apply_bias(z, layer.bias, g.m, g.kk);
+      if (g.conv) {
+        MatrixF16 flat(pad_even(g.out_vec), bp);
+        for (uint32_t r = 0; r < g.m; ++r)
+          for (uint32_t c = 0; c < g.kk; ++c) flat(r * g.kk + c, 0) = z(r, c);
+        z = std::move(flat);
+      }
+      write_mat(l2, a.pre, z);
+    }
+    if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.out_vec), bp);
+    cur_act = a.act;
   }
-  if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.out_vec), bp);
-  return gs;
-}
-
-/// L2 regions of a DwAccumulator: per-layer resident partials plus one
-/// (dY, A^T) staging pair sized for the widest slice. With base = 0 this
-/// doubles as the sizing function, exactly like build_layout.
-struct AccLayout {
-  std::vector<uint32_t> dw;  ///< per layer, (m x pad_even(n))
-  uint32_t dy = 0;           ///< scratch, (max m x Bp)
-  uint32_t act_t = 0;        ///< scratch, (Bp x max pad_even(n))
-  uint64_t total_bytes = 0;
-};
-
-AccLayout build_acc_layout(const std::vector<LayerGeom>& geoms, uint32_t bp,
-                           uint32_t base) {
-  uint64_t next = base;
-  auto alloc = [&next](uint64_t rows, uint64_t cols) {
-    const uint64_t addr = next;
-    next += (rows * cols * 2 + 3) & ~3ull;
-    if (next > UINT32_MAX)
-      throw CapacityError("gradient-reduction layout exceeds the address space");
-    return static_cast<uint32_t>(addr);
-  };
-  AccLayout lay;
-  uint32_t max_m = 0, max_np = 0;
-  for (const LayerGeom& g : geoms) {
-    lay.dw.push_back(alloc(g.m, pad_even(g.n)));
-    max_m = std::max(max_m, g.m);
-    max_np = std::max(max_np, pad_even(g.n));
-  }
-  lay.dy = alloc(max_m, bp);
-  lay.act_t = alloc(bp, max_np);
-  lay.total_bytes = next - base;
-  return lay;
+  return cur_act;
 }
 
 /// Shape checks shared by every training entry point (mirrored in
@@ -238,17 +366,108 @@ void check_training_net(const NetworkGraph& net) {
     REDMULE_REQUIRE(l.bias.empty(), "training does not support bias layers");
 }
 
-/// The training layout for (geoms, batch) on this L2, capacity-checked.
-Layout training_layout_checked(const mem::L2Memory& l2,
-                               const std::vector<LayerGeom>& geoms,
-                               uint32_t batch) {
-  const Layout lay =
-      build_layout(geoms, batch, /*training=*/true, l2.config().base_addr);
-  if (lay.total_bytes > l2.config().size_bytes)
-    throw CapacityError("L2 too small for the network training layout (" +
-                        std::to_string(lay.total_bytes) + " bytes needed, " +
-                        std::to_string(l2.config().size_bytes) + " available)");
-  return lay;
+/// A training execution's result plus the geometry and layout its wrapper
+/// reads the gradients back with.
+struct TrainingRun {
+  NetworkRunner::TrainingResult res;  ///< out, mse and stats; dw left empty
+  std::vector<LayerGeom> geoms;
+  Layout lay;
+};
+
+/// The one training executor, over an L2 holding the template staged by
+/// stage_training_template(): stages the per-job input, runs the forward
+/// walk, the MSE loss gradient and the backward walk. With \p capture null
+/// every dW GEMM runs in place into the layer's resident dW region.
+/// Otherwise each dW GEMM is skipped and the padded L2 bits it would read
+/// -- dY as its (m x Bp) X operand, the input activation whose transpose is
+/// its W operand -- are captured for a DwAccumulator. Either way the layout,
+/// and every forward/dX GEMM's addresses, plan and staged bits, are the same.
+TrainingRun run_training(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions opts,
+                         const NetworkGraph& net, const MatrixF16& x,
+                         const MatrixF16& target,
+                         NetworkRunner::SliceBackward* capture) {
+  check_training_net(net);
+  REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
+  const uint32_t batch = static_cast<uint32_t>(x.cols());
+  REDMULE_REQUIRE(batch >= 1, "batch must be positive");
+  REDMULE_REQUIRE(target.rows() == net.output_dim() && target.cols() == batch,
+                  "target shape mismatch");
+  const uint32_t bp = pad_even(batch);
+
+  auto& l2 = cl.l2();
+  TrainingRun run;
+  run.geoms = geoms_from_graph(net, batch);
+  run.lay = layout_checked(l2, run.geoms, batch, /*training=*/true);
+  const std::vector<LayerGeom>& geoms = run.geoms;
+  const Layout& lay = run.lay;
+  NetworkRunner::TrainingResult& res = run.res;
+
+  // --- Stage the per-job input; the template staged everything else --------
+  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
+  GemmRecorder gemms(cl, drv, opts, res.stats);
+  run_forward(l2, gemms, net, geoms, lay, batch);
+
+  // --- MSE loss gradient: dY = fp16(out - target) on the real region -------
+  const LayerGeom& gl = geoms.back();
+  const MatrixF16 out = read_mat(l2, lay.layers.back().pre, gl.m, bp);
+  MatrixF16 dy(pad_even(gl.out_vec), bp);  // pads stay exactly +0
+  double mse = 0.0;
+  for (uint32_t r = 0; r < gl.m; ++r)
+    for (uint32_t c = 0; c < batch; ++c) {
+      const double diff = out(r, c).to_double() - target(r, c).to_double();
+      mse += diff * diff;
+      dy(r, c) = Float16::from_double(diff);
+    }
+  res.mse = mse / (static_cast<double>(gl.m) * batch);
+  write_mat(l2, lay.dy0, dy);
+  res.out = strip_to(out, gl.m, batch);
+
+  // --- Backward: dW_l = dY * A_l^T, dX_l = W_l^T * dY ----------------------
+  if (capture) {
+    capture->batch = batch;
+    capture->padded_batch = bp;
+    capture->dy.resize(geoms.size());
+    capture->act.resize(geoms.size());
+  }
+  uint32_t dy_cur = lay.dy0, dy_next = lay.dy1;
+  for (size_t li = geoms.size(); li-- > 0;) {
+    const LayerGeom& g = geoms[li];
+    const uint32_t inp = pad_even(g.n);
+    const uint32_t act_in = li == 0 ? lay.input : lay.layers[li - 1].act;
+    MatrixF16 act = read_mat(l2, act_in, inp, bp);
+    if (capture) {
+      capture->dy[li] = read_mat(l2, dy_cur, g.m, bp);
+      capture->act[li] = std::move(act);
+    } else {
+      // A_l^T staged into the scratch region (a transpose of the resident
+      // padded activation; on the real cluster MCHAN's 2-D strides gather
+      // it, here it moves through the zero-time backdoor like all staging).
+      write_mat(l2, lay.act_t, act.transposed());  // (bp x inp)
+      gemms.run(g, li, AeGemm::Phase::kGradWeight, batch,
+                {dy_cur, lay.act_t, lay.layers[li].dw, 0}, /*has_y=*/false);
+    }
+    if (li == 0) break;
+
+    gemms.run(g, li, AeGemm::Phase::kGradInput, batch,
+              {lay.layers[li].wt, dy_cur, dy_next, 0}, /*has_y=*/false);
+    // ReLU backward (where the pre-activation was negative) plus pad-row
+    // scrubbing: the alternating dY buffers are reused across layers of
+    // different heights, so rows [n, inp) may hold a stale taller layer.
+    MatrixF16 dx = read_mat(l2, dy_next, inp, bp);
+    const bool mask = net.layer(li - 1).relu;
+    const MatrixF16 pa =
+        mask ? read_mat(l2, lay.layers[li - 1].pre, g.n, bp) : MatrixF16();
+    for (uint32_t r = 0; r < inp; ++r)
+      for (uint32_t c = 0; c < bp; ++c) {
+        if (r >= g.n)
+          dx(r, c) = Float16{};
+        else if (mask && c < batch && Float16::lt(pa(r, c), Float16{}))
+          dx(r, c) = Float16{};
+      }
+    write_mat(l2, dy_next, dx);
+    std::swap(dy_cur, dy_next);
+  }
+  return run;
 }
 
 }  // namespace
@@ -267,82 +486,14 @@ NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
 
   auto& l2 = cl_.l2();
   const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
-  const Layout lay =
-      build_layout(geoms, batch, /*training=*/false, l2.config().base_addr);
-  if (lay.total_bytes > l2.config().size_bytes)
-    throw CapacityError("L2 too small for the network forward layout (" +
-                        std::to_string(lay.total_bytes) + " bytes needed, " +
-                        std::to_string(l2.config().size_bytes) + " available)");
-
-  // --- Stage: weights padded, activation buffers zeroed --------------------
+  const Layout lay = layout_checked(l2, geoms, batch, /*training=*/false);
   write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    const LayerGeom& g = geoms[l];
-    const LayerAddrs& a = lay.layers[l];
-    write_mat(l2, a.weight, pad_to(net.layer(l).weight, g.m, pad_even(g.n)));
-    if (g.conv) {
-      zero_region(l2, a.patches, pad_even(g.n), pad_even(g.kk));
-      zero_region(l2, a.gemm_out, g.m, pad_even(g.kk));
-    }
-    zero_region(l2, a.pre, pad_even(g.out_vec), bp);
-    if (g.relu) zero_region(l2, a.act, pad_even(g.out_vec), bp);
-  }
+  stage_layers(l2, net, geoms, lay, batch, /*training=*/false);
 
   ForwardResult res;
-  res.stats.macs = net.forward_macs(batch);
-  const uint64_t cycle0 = cl_.cycle();
-  TiledGemmRunner tiled(cl_, drv_, TiledGemmOptions{opts_.double_buffer});
-
-  uint32_t cur_act = lay.input;
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    const LayerGeom& g = geoms[l];
-    const LayerAddrs& a = lay.layers[l];
-    const NetworkLayer& layer = net.layer(l);
-
-    if (g.conv) {
-      REDMULE_REQUIRE(batch == 1, "conv layers require batch 1");
-      const uint32_t np = pad_even(g.n), kkp = pad_even(g.kk);
-      NetworkGemmStats gs;
-      gs.layer = static_cast<unsigned>(l);
-      gs.phase = AeGemm::Phase::kForward;
-      gs.shape = {"L" + std::to_string(l) + ".fw", g.m, g.n, g.kk};
-
-      // im2col front-end: reshape the resident activation column to the
-      // (C x H*W) image and stage the padded patch matrix.
-      const workloads::Conv2dParams& p = layer.conv;
-      const MatrixF16 col = read_mat(l2, cur_act, g.in_vec, bp);
-      MatrixF16 img(p.in_channels, static_cast<size_t>(p.in_h) * p.in_w);
-      for (size_t r = 0; r < img.rows(); ++r)
-        for (size_t c = 0; c < img.cols(); ++c)
-          img(r, c) = col(r * img.cols() + c, 0);
-      write_mat(l2, a.patches, pad_to(im2col(img, p), np, kkp));
-
-      const TiledGemmPlan plan = workloads::plan_tiled_gemm(
-          g.m, np, kkp, false, drv_.bytes_free(), cl_.config().geometry);
-      gs.tiled = tiled.run_staged({a.weight, a.patches, a.gemm_out, 0}, plan);
-      gs.tiled.macs = gs.shape.macs();
-      cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
-
-      // Bias on the real region, then flatten row-major into the next
-      // activation column (the pre buffer was zeroed, pads stay +0).
-      MatrixF16 z = read_mat(l2, a.gemm_out, g.m, kkp);
-      if (!layer.bias.empty()) apply_bias(z, layer.bias, g.m, g.kk);
-      MatrixF16 flat(pad_even(g.out_vec), bp);
-      for (uint32_t r = 0; r < g.m; ++r)
-        for (uint32_t c = 0; c < g.kk; ++c) flat(r * g.kk + c, 0) = z(r, c);
-      write_mat(l2, a.pre, flat);
-      res.stats.gemms.push_back(gs);
-
-      if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.out_vec), bp);
-    } else {
-      res.stats.gemms.push_back(
-          run_linear_layer(cl_, drv_, tiled, layer, g, a, cur_act, batch, bp, l));
-    }
-    cur_act = a.act;
-  }
-
-  res.stats.total_cycles = cl_.cycle() - cycle0;
-  res.out = strip_to(read_mat(l2, cur_act, geoms.back().out_vec, bp),
+  GemmRecorder gemms(cl_, drv_, opts_, res.stats);
+  const uint32_t out = run_forward(l2, gemms, net, geoms, lay, batch);
+  res.out = strip_to(read_mat(l2, out, geoms.back().out_vec, bp),
                      geoms.back().out_vec, batch);
   return res;
 }
@@ -351,25 +502,10 @@ void NetworkRunner::stage_training_template(const NetworkGraph& net,
                                             uint32_t batch) {
   check_training_net(net);
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
-  const uint32_t bp = pad_even(batch);
   auto& l2 = cl_.l2();
   const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
-  const Layout lay = training_layout_checked(l2, geoms, batch);
-
-  // Weights in both orientations, padded per the lowering contract; the
-  // gradient and activation regions zeroed. All through the zero-time L2
-  // backdoor over disjoint regions, so splitting this off from the
-  // execution half is invisible in simulated cycles and every staged bit.
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    const LayerGeom& g = geoms[l];
-    const LayerAddrs& a = lay.layers[l];
-    write_mat(l2, a.weight, pad_to(net.layer(l).weight, g.m, pad_even(g.n)));
-    write_mat(l2, a.wt,
-              pad_to(net.layer(l).weight.transposed(), g.n, pad_even(g.m)));
-    zero_region(l2, a.dw, g.m, pad_even(g.n));
-    zero_region(l2, a.pre, pad_even(g.out_vec), bp);
-    if (g.relu) zero_region(l2, a.act, pad_even(g.out_vec), bp);
-  }
+  const Layout lay = layout_checked(l2, geoms, batch, /*training=*/true);
+  stage_layers(l2, net, geoms, lay, batch, /*training=*/true);
 }
 
 NetworkRunner::TrainingResult NetworkRunner::training_step(NetworkGraph& net,
@@ -382,224 +518,29 @@ NetworkRunner::TrainingResult NetworkRunner::training_step(NetworkGraph& net,
 
 NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
     NetworkGraph& net, const MatrixF16& x, const MatrixF16& target, double lr) {
-  const size_t n_layers = net.n_layers();
-  check_training_net(net);
-  REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
-  const uint32_t batch = static_cast<uint32_t>(x.cols());
-  REDMULE_REQUIRE(batch >= 1, "batch must be positive");
-  REDMULE_REQUIRE(target.rows() == net.output_dim() && target.cols() == batch,
-                  "target shape mismatch");
-  const uint32_t bp = pad_even(batch);
-
-  auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
-  const Layout lay = training_layout_checked(l2, geoms, batch);
-
-  // --- Stage the per-job input; the template staged everything else --------
-  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
-
-  TrainingResult res;
-  res.stats.macs = net.training_macs(batch);
-  const uint64_t cycle0 = cl_.cycle();
-  TiledGemmRunner tiled(cl_, drv_, TiledGemmOptions{opts_.double_buffer});
-  const core::Geometry& geom = cl_.config().geometry;
-
-  // --- Forward, activations kept resident per layer ------------------------
-  uint32_t cur_act = lay.input;
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    res.stats.gemms.push_back(run_linear_layer(cl_, drv_, tiled, net.layer(l),
-                                               geoms[l], lay.layers[l], cur_act,
-                                               batch, bp, l));
-    cur_act = lay.layers[l].act;
-  }
-
-  // --- MSE loss gradient: dY = fp16(out - target) on the real region -------
-  const LayerGeom& gl = geoms.back();
-  {
-    const MatrixF16 out = read_mat(l2, lay.layers.back().pre, gl.m, bp);
-    MatrixF16 dy(pad_even(gl.out_vec), bp);  // pads stay exactly +0
-    double mse = 0.0;
-    for (uint32_t r = 0; r < gl.m; ++r)
-      for (uint32_t c = 0; c < batch; ++c) {
-        const double diff = out(r, c).to_double() - target(r, c).to_double();
-        mse += diff * diff;
-        dy(r, c) = Float16::from_double(diff);
-      }
-    res.mse = mse / (static_cast<double>(gl.m) * batch);
-    write_mat(l2, lay.dy0, dy);
-    res.out = strip_to(out, gl.m, batch);
-  }
-
-  // --- Backward: dW_l = dY * A_l^T, dX_l = W_l^T * dY ----------------------
-  uint32_t dy_cur = lay.dy0, dy_next = lay.dy1;
-  for (size_t li = n_layers; li-- > 0;) {
-    const LayerGeom& g = geoms[li];
-    const uint32_t inp = pad_even(g.n), outp = pad_even(g.m);
-    const uint32_t act_in = li == 0 ? lay.input : lay.layers[li - 1].act;
-
-    // A_l^T staged into the scratch region (a transpose of the resident
-    // padded activation; on the real cluster MCHAN's 2-D strides gather it,
-    // here it moves through the zero-time backdoor like all staging).
-    write_mat(l2, lay.act_t,
-              read_mat(l2, act_in, inp, bp).transposed());  // (bp x inp)
-
-    NetworkGemmStats gw;
-    gw.layer = static_cast<unsigned>(li);
-    gw.phase = AeGemm::Phase::kGradWeight;
-    gw.shape = {"L" + std::to_string(li) + ".dW", g.m, batch, g.n};
-    const TiledGemmPlan plan_dw = workloads::plan_tiled_gemm(
-        g.m, bp, inp, false, drv_.bytes_free(), geom);
-    gw.tiled = tiled.run_staged({dy_cur, lay.act_t, lay.layers[li].dw, 0}, plan_dw);
-    gw.tiled.macs = gw.shape.macs();
-    res.stats.gemms.push_back(gw);
-    cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
-
-    if (li > 0) {
-      NetworkGemmStats gx;
-      gx.layer = static_cast<unsigned>(li);
-      gx.phase = AeGemm::Phase::kGradInput;
-      gx.shape = {"L" + std::to_string(li) + ".dX", g.n, g.m, batch};
-      const TiledGemmPlan plan_dx = workloads::plan_tiled_gemm(
-          g.n, outp, bp, false, drv_.bytes_free(), geom);
-      gx.tiled = tiled.run_staged({lay.layers[li].wt, dy_cur, dy_next, 0}, plan_dx);
-      gx.tiled.macs = gx.shape.macs();
-      res.stats.gemms.push_back(gx);
-      cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
-
-      // ReLU backward (where the pre-activation was negative) plus pad-row
-      // scrubbing: the alternating dY buffers are reused across layers of
-      // different heights, so rows [n, inp) may hold a stale taller layer.
-      MatrixF16 dx = read_mat(l2, dy_next, inp, bp);
-      const bool mask = net.layer(li - 1).relu;
-      const MatrixF16 pa =
-          mask ? read_mat(l2, lay.layers[li - 1].pre, g.n, bp) : MatrixF16();
-      for (uint32_t r = 0; r < inp; ++r)
-        for (uint32_t c = 0; c < bp; ++c) {
-          if (r >= g.n)
-            dx(r, c) = Float16{};
-          else if (mask && c < batch && Float16::lt(pa(r, c), Float16{}))
-            dx(r, c) = Float16{};
-        }
-      write_mat(l2, dy_next, dx);
-      std::swap(dy_cur, dy_next);
-    }
-  }
-  res.stats.total_cycles = cl_.cycle() - cycle0;
+  TrainingRun run = run_training(cl_, drv_, opts_, net, x, target, nullptr);
 
   // --- Read gradients back, optional SGD update on the host weights --------
-  res.dw.resize(n_layers);
-  for (size_t l = 0; l < n_layers; ++l) {
-    const LayerGeom& g = geoms[l];
-    res.dw[l] = strip_to(read_mat(l2, lay.layers[l].dw, g.m, pad_even(g.n)),
+  auto& l2 = cl_.l2();
+  TrainingResult& res = run.res;
+  res.dw.resize(run.geoms.size());
+  for (size_t l = 0; l < run.geoms.size(); ++l) {
+    const LayerGeom& g = run.geoms[l];
+    res.dw[l] = strip_to(read_mat(l2, run.lay.layers[l].dw, g.m, pad_even(g.n)),
                          g.m, g.n);
-    if (lr != 0.0) workloads::apply_sgd_update(net.weight(l), res.dw[l], lr, batch);
+    if (lr != 0.0)
+      workloads::apply_sgd_update(net.weight(l), res.dw[l], lr,
+                                  static_cast<uint32_t>(x.cols()));
   }
-  return res;
-}
-
-NetworkRunner::TrainingSliceResult NetworkRunner::training_slice(
-    const NetworkGraph& net, const MatrixF16& x, const MatrixF16& target) {
-  // The template also zeroes the dW regions a slice never touches; on the
-  // reset cluster those regions already read zero, and the zero-write path
-  // does not even materialize pages, so staging the full template here is
-  // bit- and cycle-invisible versus the historical slice-only staging.
-  stage_training_template(net, static_cast<uint32_t>(x.cols()));
-  return training_slice_staged(net, x, target);
+  return std::move(res);
 }
 
 NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
     const NetworkGraph& net, const MatrixF16& x, const MatrixF16& target) {
-  const size_t n_layers = net.n_layers();
-  check_training_net(net);
-  REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
-  const uint32_t batch = static_cast<uint32_t>(x.cols());
-  REDMULE_REQUIRE(batch >= 1, "batch must be positive");
-  REDMULE_REQUIRE(target.rows() == net.output_dim() && target.cols() == batch,
-                  "target shape mismatch");
-  const uint32_t bp = pad_even(batch);
-
-  // The FULL training layout, even though the dW regions stay untouched:
-  // every forward/dX GEMM must see the same addresses, plans and staged bits
-  // as training_step would for this slice, so the per-column results -- and
-  // the captured dW operands -- are bit-identical to the monolithic run.
-  auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
-  const Layout lay = training_layout_checked(l2, geoms, batch);
-
-  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
-
   TrainingSliceResult res;
-  res.grads.batch = batch;
-  res.grads.padded_batch = bp;
-  res.grads.dy.resize(n_layers);
-  res.grads.act.resize(n_layers);
-  const uint64_t cycle0 = cl_.cycle();
-  TiledGemmRunner tiled(cl_, drv_, TiledGemmOptions{opts_.double_buffer});
-  const core::Geometry& geom = cl_.config().geometry;
-
-  uint32_t cur_act = lay.input;
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    res.stats.gemms.push_back(run_linear_layer(cl_, drv_, tiled, net.layer(l),
-                                               geoms[l], lay.layers[l], cur_act,
-                                               batch, bp, l));
-    cur_act = lay.layers[l].act;
-  }
-
-  // Loss gradient exactly as training_step writes it (the MSE scalar is the
-  // orchestrator's job -- it needs the assembled full-batch output).
-  const LayerGeom& gl = geoms.back();
-  {
-    const MatrixF16 out = read_mat(l2, lay.layers.back().pre, gl.m, bp);
-    MatrixF16 dy(pad_even(gl.out_vec), bp);  // pads stay exactly +0
-    for (uint32_t r = 0; r < gl.m; ++r)
-      for (uint32_t c = 0; c < batch; ++c)
-        dy(r, c) = Float16::from_double(out(r, c).to_double() -
-                                        target(r, c).to_double());
-    write_mat(l2, lay.dy0, dy);
-    res.out = strip_to(out, gl.m, batch);
-  }
-
-  // Backward dX chain only; at each layer, capture the padded L2 bits the
-  // dW GEMM would read -- dY as its (m x Bp) X operand, the input
-  // activation whose transpose is its W operand -- for the accumulator.
-  uint32_t dy_cur = lay.dy0, dy_next = lay.dy1;
-  for (size_t li = n_layers; li-- > 0;) {
-    const LayerGeom& g = geoms[li];
-    const uint32_t inp = pad_even(g.n), outp = pad_even(g.m);
-    const uint32_t act_in = li == 0 ? lay.input : lay.layers[li - 1].act;
-    res.grads.dy[li] = read_mat(l2, dy_cur, g.m, bp);
-    res.grads.act[li] = read_mat(l2, act_in, inp, bp);
-
-    if (li > 0) {
-      NetworkGemmStats gx;
-      gx.layer = static_cast<unsigned>(li);
-      gx.phase = AeGemm::Phase::kGradInput;
-      gx.shape = {"L" + std::to_string(li) + ".dX", g.n, g.m, batch};
-      const TiledGemmPlan plan_dx = workloads::plan_tiled_gemm(
-          g.n, outp, bp, false, drv_.bytes_free(), geom);
-      gx.tiled = tiled.run_staged({lay.layers[li].wt, dy_cur, dy_next, 0}, plan_dx);
-      gx.tiled.macs = gx.shape.macs();
-      res.stats.gemms.push_back(gx);
-      cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
-
-      MatrixF16 dx = read_mat(l2, dy_next, inp, bp);
-      const bool mask = net.layer(li - 1).relu;
-      const MatrixF16 pa =
-          mask ? read_mat(l2, lay.layers[li - 1].pre, g.n, bp) : MatrixF16();
-      for (uint32_t r = 0; r < inp; ++r)
-        for (uint32_t c = 0; c < bp; ++c) {
-          if (r >= g.n)
-            dx(r, c) = Float16{};
-          else if (mask && c < batch && Float16::lt(pa(r, c), Float16{}))
-            dx(r, c) = Float16{};
-        }
-      write_mat(l2, dy_next, dx);
-      std::swap(dy_cur, dy_next);
-    }
-  }
-  res.stats.total_cycles = cl_.cycle() - cycle0;
-  for (const NetworkGemmStats& gs : res.stats.gemms)
-    res.stats.macs += gs.tiled.macs;
+  TrainingRun run = run_training(cl_, drv_, opts_, net, x, target, &res.grads);
+  res.out = std::move(run.res.out);
+  res.stats = std::move(run.res.stats);
   return res;
 }
 
@@ -619,10 +560,7 @@ DwAccumulator::DwAccumulator(Cluster& cluster, RedmuleDriver& driver,
       geoms_from_graph(net, max_padded_batch);
   const AccLayout lay =
       build_acc_layout(geoms, max_padded_batch, l2.config().base_addr);
-  if (lay.total_bytes > l2.config().size_bytes)
-    throw CapacityError("L2 too small for the gradient-reduction layout (" +
-                        std::to_string(lay.total_bytes) + " bytes needed, " +
-                        std::to_string(l2.config().size_bytes) + " available)");
+  require_fits(l2, lay.total_bytes, "gradient-reduction");
   for (size_t l = 0; l < geoms.size(); ++l) {
     const LayerGeom& g = geoms[l];
     layers_.push_back(LayerSlot{g.m, g.n, lay.dw[l]});
@@ -645,17 +583,15 @@ NetworkStats DwAccumulator::accumulate(
 
   auto& l2 = cl_.l2();
   NetworkStats stats;
-  const uint64_t cycle0 = cl_.cycle();
-  TiledGemmRunner tiled(cl_, drv_, TiledGemmOptions{opts_.double_buffer});
-  const core::Geometry& geom = cl_.config().geometry;
+  GemmRecorder gemms(cl_, drv_, opts_, stats);
 
   // Same descending-layer order as training_step's backward walk.
   for (size_t li = layers_.size(); li-- > 0;) {
     const LayerSlot& s = layers_[li];
-    const uint32_t np = pad_even(s.n);
     REDMULE_REQUIRE(grads.dy[li].rows() == s.m && grads.dy[li].cols() == sp,
                     "slice dY shape mismatch");
-    REDMULE_REQUIRE(grads.act[li].rows() == np && grads.act[li].cols() == sp,
+    REDMULE_REQUIRE(grads.act[li].rows() == pad_even(s.n) &&
+                        grads.act[li].cols() == sp,
                     "slice activation shape mismatch");
     // The captured padded bits, staged verbatim: dY as the X operand, the
     // activation transposed into the W operand -- the exact staging
@@ -663,23 +599,13 @@ NetworkStats DwAccumulator::accumulate(
     write_mat(l2, dy_addr_, grads.dy[li]);
     write_mat(l2, act_t_addr_, grads.act[li].transposed());  // (sp x np)
 
-    NetworkGemmStats gw;
-    gw.layer = static_cast<unsigned>(li);
-    gw.phase = AeGemm::Phase::kGradWeight;
-    gw.shape = {"L" + std::to_string(li) + ".dW", s.m, grads.batch, s.n};
     // first: plain GEMM starting the chain. Otherwise the resident partial
     // preloads as Y in place (y == z), continuing the reduction exactly as
     // the monolithic chain's next H-aligned segment would.
-    const TiledGemmPlan plan = workloads::plan_tiled_gemm(
-        s.m, sp, np, /*has_y=*/!first, drv_.bytes_free(), geom);
-    gw.tiled = tiled.run_staged(
-        {dy_addr_, act_t_addr_, s.dw, first ? 0u : s.dw}, plan);
-    gw.tiled.macs = gw.shape.macs();
-    stats.macs += gw.tiled.macs;
-    stats.gemms.push_back(gw);
-    cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
+    gemms.run(LayerGeom{.m = s.m, .n = s.n}, li, AeGemm::Phase::kGradWeight,
+              grads.batch, {dy_addr_, act_t_addr_, s.dw, first ? 0u : s.dw},
+              /*has_y=*/!first);
   }
-  stats.total_cycles = cl_.cycle() - cycle0;
   return stats;
 }
 
@@ -707,17 +633,16 @@ uint64_t NetworkRunner::training_l2_bytes(const std::vector<uint32_t>& dims,
 
 uint64_t NetworkRunner::min_tcdm_bytes(const std::vector<uint32_t>& dims,
                                        uint32_t batch, const core::Geometry& g) {
-  const uint32_t bp = pad_even(batch);
+  const std::vector<LayerGeom> geoms = geoms_from_dims(dims, batch);
   uint64_t need = 0;
-  auto consider = [&](uint32_t m, uint32_t n, uint32_t k) {
-    need = std::max(need,
-                    workloads::min_tile_plan(m, n, k, false, g).tcdm_bytes());
-  };
-  for (const LayerGeom& lg : geoms_from_dims(dims, batch)) {
-    consider(lg.m, pad_even(lg.n), bp);            // forward
-    consider(lg.m, bp, pad_even(lg.n));            // dW
-    consider(lg.n, pad_even(lg.m), bp);            // dX
-  }
+  for (size_t l = 0; l < geoms.size(); ++l)
+    for (const AeGemm::Phase p :
+         {AeGemm::Phase::kForward, AeGemm::Phase::kGradWeight,
+          AeGemm::Phase::kGradInput}) {
+      const PhaseGemm e = phase_gemm(geoms[l], l, p, batch);
+      need = std::max(need,
+                      workloads::min_tile_plan(e.m, e.n, e.k, false, g).tcdm_bytes());
+    }
   return need;
 }
 

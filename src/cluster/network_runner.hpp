@@ -136,20 +136,15 @@ class NetworkRunner {
     NetworkStats stats;  ///< forward + dX GEMMs executed on this cluster
   };
   /// One batch *slice* of a training step, for the sharded executor
-  /// (shard/sharding.hpp): forward, loss gradient, and dX chains exactly as
-  /// training_step runs them -- same layout, same plans, same per-column
-  /// bits -- but with every dW GEMM skipped; the operands those GEMMs would
-  /// have read are captured instead, for a DwAccumulator to reduce in fixed
-  /// shard order. \p net is never updated (the SGD step needs the fully
-  /// reduced gradients).
-  TrainingSliceResult training_slice(const workloads::NetworkGraph& net,
-                                     const MatrixF16& x,
-                                     const MatrixF16& target);
-
-  /// The execution half of training_slice(), over a template staged by
-  /// stage_training_template(net, slice padded batch) -- directly or
-  /// restored from its snapshot. Shard workers fork the staged image once
-  /// per slice instead of re-staging every layer's weights.
+  /// (shard/sharding.hpp), over a template staged by
+  /// stage_training_template(net, slice batch) -- directly or restored from
+  /// its snapshot, so shard workers fork the staged image once per slice
+  /// instead of re-staging every layer's weights. The same executor as
+  /// training_step_staged -- same layout, same forward/dX GEMMs, plans and
+  /// per-column bits -- but every dW GEMM is skipped and the operands it
+  /// would have read are captured instead, for a DwAccumulator to reduce in
+  /// fixed shard order. \p net is never updated (the SGD step needs the
+  /// fully reduced gradients).
   TrainingSliceResult training_slice_staged(const workloads::NetworkGraph& net,
                                             const MatrixF16& x,
                                             const MatrixF16& target);

@@ -114,7 +114,11 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
     api::ScopedRunControl control(reduce_cluster, ctx);
     cluster::RedmuleDriver drv(reduce_cluster);
     NetworkRunner runner(reduce_cluster, drv, opts_.runner);
-    slots[0].result = runner.training_slice(net, x, target);
+    // The template also zeroes the dW regions a slice never touches; on the
+    // reset cluster those regions already read zero and zero writes do not
+    // materialize pages, so the full template is bit- and cycle-invisible.
+    runner.stage_training_template(net, static_cast<uint32_t>(x.cols()));
+    slots[0].result = runner.training_slice_staged(net, x, target);
     if (opts_.phase1_done_hook) opts_.phase1_done_hook(0);
     res.stats.shard_cycles.push_back(slots[0].result.stats.total_cycles);
     fold_gemms(slots[0].result.stats);

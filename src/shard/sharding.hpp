@@ -4,8 +4,8 @@
 ///
 /// One training step is split data-parallel over the batch across K pooled
 /// clusters: shard k runs the existing NetworkRunner forward/dX pipeline on
-/// its column slice (cluster/network_runner.hpp, training_slice), and the
-/// per-shard dW contributions are reduced on ONE cluster in fixed shard
+/// its column slice (cluster/network_runner.hpp, training_slice_staged), and
+/// the per-shard dW contributions are reduced on ONE cluster in fixed shard
 /// order (DwAccumulator). The result is bit-identical to the one-cluster
 /// training_step -- the whole point of the design:
 ///

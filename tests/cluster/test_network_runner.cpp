@@ -208,6 +208,24 @@ TEST(NetworkRunner, ConvLayersLowerThroughIm2col) {
   const auto mono = workloads::reference_forward(net, x, cl.config().geometry,
                                                  monolithic_gemm(cl.config().geometry));
   expect_bit_exact(hw.out, mono.out, "conv chain vs monolithic");
+
+  // One forward GEMM per layer, conv and linear alike, with useful MACs
+  // summing to the graph's. The cycle counts are pinned: the conv lowering
+  // (im2col staging, padded extents, plan) must not move a single cycle.
+  const uint64_t kGemmCycles[] = {757, 1263, 1486};
+  const uint64_t kTotalCycles = 3506;
+  ASSERT_EQ(hw.stats.gemms.size(), 3u);
+  uint64_t macs = 0;
+  for (size_t l = 0; l < hw.stats.gemms.size(); ++l) {
+    const NetworkGemmStats& gs = hw.stats.gemms[l];
+    EXPECT_EQ(gs.layer, l);
+    EXPECT_EQ(gs.phase, workloads::AeGemm::Phase::kForward);
+    EXPECT_EQ(gs.shape.name, "L" + std::to_string(l) + ".fw");
+    EXPECT_EQ(gs.tiled.total_cycles, kGemmCycles[l]) << "layer " << l;
+    macs += gs.tiled.macs;
+  }
+  EXPECT_EQ(macs, net.forward_macs(1));
+  EXPECT_EQ(hw.stats.total_cycles, kTotalCycles);
 }
 
 // --- Training step ----------------------------------------------------------
@@ -319,6 +337,59 @@ TEST(NetworkRunner, SerialScheduleMatchesToo) {
     expect_bit_exact(rp.dw[l], rs.dw[l], "pipelined vs serial dW");
   EXPECT_LT(rp.stats.total_cycles, rs.stats.total_cycles)
       << "the double-buffered schedule must beat the serial one";
+}
+
+TEST(NetworkRunner, SliceIsTheStepWithoutItsDwGemms) {
+  // The sharded executor's slice must issue exactly the step's forward and
+  // dX GEMMs -- same order, extents, cycles and traffic -- and capture
+  // operands that reproduce the step's dW bits on a reduce cluster.
+  for (const uint32_t batch : {3u, 4u}) {
+    const workloads::AutoencoderConfig cfg = reduced_ae(batch);
+    Xoshiro256 rng(61), rng_x(62);
+    NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
+    const auto x = random_matrix(cfg.input_dim, batch, rng_x, -0.5, 0.5);
+    const std::string at = "B=" + std::to_string(batch) + " ";
+
+    Cluster cl_step, cl_slice;
+    RedmuleDriver drv_step(cl_step), drv_slice(cl_slice);
+    NetworkRunner step_runner(cl_step, drv_step);
+    NetworkRunner slice_runner(cl_slice, drv_slice);
+    step_runner.stage_training_template(net, batch);
+    slice_runner.stage_training_template(net, batch);
+    const auto step = step_runner.training_step_staged(net, x, x, /*lr=*/0.0);
+    const auto slice = slice_runner.training_slice_staged(net, x, x);
+    expect_bit_exact(slice.out, step.out, at + "slice vs step out");
+
+    std::vector<NetworkGemmStats> expected;
+    for (const NetworkGemmStats& gs : step.stats.gemms)
+      if (gs.phase != workloads::AeGemm::Phase::kGradWeight)
+        expected.push_back(gs);
+    ASSERT_EQ(slice.stats.gemms.size(), expected.size()) << at;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const NetworkGemmStats& got = slice.stats.gemms[i];
+      const NetworkGemmStats& want = expected[i];
+      const std::string what = at + want.shape.name;
+      EXPECT_EQ(got.layer, want.layer) << what;
+      EXPECT_EQ(got.phase, want.phase) << what;
+      EXPECT_EQ(got.shape.name, want.shape.name) << what;
+      EXPECT_EQ(got.shape.m, want.shape.m) << what;
+      EXPECT_EQ(got.shape.n, want.shape.n) << what;
+      EXPECT_EQ(got.shape.k, want.shape.k) << what;
+      EXPECT_EQ(got.tiled.total_cycles, want.tiled.total_cycles) << what;
+      EXPECT_EQ(got.tiled.dma_bytes_in, want.tiled.dma_bytes_in) << what;
+      EXPECT_EQ(got.tiled.dma_bytes_out, want.tiled.dma_bytes_out) << what;
+      EXPECT_EQ(got.tiled.fma_ops, want.tiled.fma_ops) << what;
+    }
+
+    Cluster cl_reduce;
+    RedmuleDriver drv_reduce(cl_reduce);
+    DwAccumulator acc(cl_reduce, drv_reduce, net, slice.grads.padded_batch);
+    acc.accumulate(slice.grads, /*first=*/true);
+    const std::vector<core::MatrixF16> dw = acc.gradients();
+    ASSERT_EQ(dw.size(), step.dw.size()) << at;
+    for (size_t l = 0; l < dw.size(); ++l)
+      expect_bit_exact(dw[l], step.dw[l], at + "dW layer " + std::to_string(l));
+  }
 }
 
 TEST(NetworkRunner, TrainingRejectsBiasLayers) {
