@@ -5,7 +5,9 @@
 /// allows, and this bench is its measured artifact.
 ///
 /// Three kernels are reported for the default geometry:
-///  - fast:      the shipping kernel (idle skipping + native-FMA fast path);
+///  - fast:      the shipping kernel (idle skipping + the FMA fast paths: the
+///    native AVX512-FP16 lane where the host has it, else the binary64 lane;
+///    `fp16.native_lane` records which);
 ///  - reference: the same binary with both runtime toggles off, i.e. the
 ///    soft-float FMA core and the tick-everything loop (the bit-exact
 ///    reference configuration the fast kernel is cross-checked against);
@@ -125,6 +127,11 @@ int main(int argc, char** argv) {
 
   JsonBenchWriter json("simkernel");
   json.add("smoke", smoke ? 1 : 0, "bool");
+  // Which FMA lane the fast kernel ran on: 1 = the host's AVX512-FP16 units,
+  // 0 = the portable binary64 lane. Informational; the bits are the same.
+  json.add("fp16.native_lane", fp16::detail::native_lane() ? 1 : 0, "bool");
+  std::printf("fast-kernel FMA lane: %s\n",
+              fp16::detail::native_lane() ? "native AVX512-FP16" : "binary64");
 
   // Geometry sweep: the taped-out default first, then the ablation corners.
   struct Geo {

@@ -49,6 +49,8 @@ struct NetworkGemmStats {
   workloads::AeGemm::Phase phase = workloads::AeGemm::Phase::kForward;
   workloads::GemmShape shape;  ///< real (unpadded) extents
   TiledGemmStats tiled;        ///< whole-pipeline counters incl. DMA
+
+  friend bool operator==(const NetworkGemmStats&, const NetworkGemmStats&) = default;
 };
 
 struct NetworkStats {

@@ -50,6 +50,8 @@ struct TiledGemmStats {
   uint64_t macs = 0;            ///< useful MACs of the logical problem
   uint32_t steps = 0;           ///< tile jobs offloaded
 
+  friend bool operator==(const TiledGemmStats&, const TiledGemmStats&) = default;
+
   double macs_per_cycle() const {
     return total_cycles == 0 ? 0.0
                              : static_cast<double>(macs) /

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -119,12 +120,13 @@ class Float16 {
   /// Fused multiply-add: round(a*b + c) with a single rounding -- the exact
   /// operation each RedMulE datapath element performs every cycle.
   ///
-  /// Dispatching entry point: when the operands are all normal, the mode is
-  /// RNE and the caller does not observe flags, the result is produced by a
-  /// native-arithmetic fast path (defined inline below; see the comment
-  /// there for the proof that it rounds identically); every other case --
-  /// subnormals, NaN/Inf, non-RNE modes, flag-observing callers -- takes the
-  /// bit-exact soft-float core.
+  /// Dispatching entry point: when the mode is RNE and the caller does not
+  /// observe flags, the result comes from the host's AVX512-FP16 unit where
+  /// there is one (native_lane.cpp), else, for normal-or-zero operands,
+  /// from a binary64 fast path (defined inline below; see the comment there
+  /// for the proof that it rounds identically); every other case --
+  /// non-RNE modes, flag-observing callers, and on the binary64 path
+  /// subnormals and NaN/Inf -- takes the bit-exact soft-float core.
   static Float16 fma(Float16 a, Float16 b, Float16 c,
                      RoundingMode rm = RoundingMode::kRNE, Flags* flags = nullptr);
   /// The soft-float FMA core: unpack / exact significand arithmetic / single
@@ -171,9 +173,11 @@ static_assert(sizeof(Float16) == 2, "Float16 must have the hardware layout");
 /// Shorthand used throughout the codebase.
 inline Float16 f16(double x) { return Float16::from_double(x); }
 
-/// Process-wide kill switch for the native-FMA fast path (on by default).
-/// Benches use it to measure soft-core vs fast-path kernel throughput; with
-/// the fast path disabled every fma() call takes the soft-float core.
+/// Process-wide kill switch for the FMA fast paths (on by default): the
+/// native AVX512-FP16 lane and the binary64 lane. Benches use it to measure
+/// soft-core vs fast-path kernel throughput; with the fast paths disabled
+/// every fma(), fma_row() and sub_scaled_row() element takes the soft-float
+/// core.
 /// Stored as a relaxed atomic so batch worker threads can read it while a
 /// controlling thread flips it (a relaxed load compiles to a plain load on
 /// every target we care about; the fast path pays nothing). Toggling while
@@ -185,6 +189,27 @@ bool fast_fma_enabled();
 namespace detail {
 
 extern std::atomic<bool> g_fast_fma_enabled;
+
+/// CPUID probe for the native lane (AVX512-FP16); false on other hosts and
+/// on toolchains that cannot compile the lane.
+bool native_lane_detect();
+
+/// True when this process runs FMAs on the host's AVX512-FP16 units. Probed
+/// once per process; the global compile flags are unchanged, only the lane's
+/// kernels (native_lane.cpp) are compiled for the feature.
+inline bool native_lane() {
+  static const bool has = native_lane_detect();
+  return has;
+}
+
+/// The native lane's kernels (call only when native_lane() is true). RNE
+/// under embedded rounding, independent of MXCSR, with every NaN result
+/// canonicalised to 0x7E00: bit-identical to the soft core, element by
+/// element. Float16::fma, fma_row and sub_scaled_row dispatch to them.
+uint16_t native_fma(uint16_t a, uint16_t b, uint16_t c);
+void native_fma_row(const Float16* x, Float16 w, const Float16* acc, Float16* out,
+                    unsigned n);
+void native_sub_scaled_row(Float16* w, const Float16* dw, double scale, size_t n);
 
 /// True for every encoding the FMA fast path accepts as an operand: normals
 /// and signed zeros (no subnormals, infinities or NaNs).
@@ -284,12 +309,18 @@ inline bool fast_fma_lane(Float16 a, double bd, Float16 c, uint16_t* out) {
 // fast_pack_rne() bails (-> soft core) when the 53-bit result is nonzero and
 // outside the fp16 *normal* range: subnormal results need the soft core's
 // tininess handling, overflow its saturation logic.
+//
+// Hosts with AVX512-FP16 take the native lane instead, for every operand
+// class (native_lane.cpp says why its bits match).
 inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
                             Flags* flags) {
   if (detail::g_fast_fma_enabled.load(std::memory_order_relaxed) &&
-      rm == RoundingMode::kRNE && flags == nullptr && detail::is_normal_or_zero(b)) {
+      rm == RoundingMode::kRNE && flags == nullptr) {
+    if (detail::native_lane())
+      return from_bits(detail::native_fma(a.bits_, b.bits_, c.bits_));
     uint16_t bits;
-    if (detail::fast_fma_lane(a, detail::normal_to_double(b), c, &bits)) {
+    if (detail::is_normal_or_zero(b) &&
+        detail::fast_fma_lane(a, detail::normal_to_double(b), c, &bits)) {
       return from_bits(bits);
     }
   }
@@ -299,14 +330,19 @@ inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
 /// Row FMA: out[i] = fma(x[i], w, acc[i]) for i < n, RNE and no flags -- one
 /// datapath column's L FMAs of one cycle, sharing the broadcast W element.
 /// Bit-identical to calling fma_soft() per element (the row kernel is
-/// cross-checked against it in tests/fp16/test_hw_crosscheck.cpp); the kill
-/// switch and the classification and widening of \p w are hoisted out of the
-/// per-element loop, and lanes the fast path cannot take fall back to
-/// fma_soft() one element at a time. \p out must not alias \p x or \p acc.
+/// cross-checked against it in tests/fp16/test_hw_crosscheck.cpp). On the
+/// native lane the whole row is a few masked vector ops; on the binary64
+/// lane the kill switch and the classification and widening of \p w are
+/// hoisted out of the per-element loop, and lanes it cannot take fall back
+/// to fma_soft() one element at a time. \p out must not alias \p x or \p acc.
 inline void fma_row(const Float16* x, Float16 w, const Float16* acc, Float16* out,
                     unsigned n) {
-  if (!detail::g_fast_fma_enabled.load(std::memory_order_relaxed) ||
-      !detail::is_normal_or_zero(w)) {
+  const bool fast = detail::g_fast_fma_enabled.load(std::memory_order_relaxed);
+  if (fast && detail::native_lane()) {
+    detail::native_fma_row(x, w, acc, out, n);
+    return;
+  }
+  if (!fast || !detail::is_normal_or_zero(w)) {
     for (unsigned i = 0; i < n; ++i) out[i] = Float16::fma_soft(x[i], w, acc[i]);
     return;
   }
@@ -317,6 +353,20 @@ inline void fma_row(const Float16* x, Float16 w, const Float16* acc, Float16* ou
                  ? Float16::from_bits(bits)
                  : Float16::fma_soft(x[i], w, acc[i]);
   }
+}
+
+/// Scaled row subtraction, the SGD weight update:
+/// w[i] = sub(w[i], from_double(scale * dw[i].to_double())), RNE, no flags.
+/// Runs on the native lane when it is selected and the kill switch is on;
+/// otherwise every element takes the soft-float core.
+inline void sub_scaled_row(Float16* w, const Float16* dw, double scale, size_t n) {
+  if (detail::g_fast_fma_enabled.load(std::memory_order_relaxed) &&
+      detail::native_lane()) {
+    detail::native_sub_scaled_row(w, dw, scale, n);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i)
+    w[i] = Float16::sub(w[i], Float16::from_double(scale * dw[i].to_double()));
 }
 
 /// ULP distance between two finite encodings (for test tolerances).

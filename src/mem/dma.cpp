@@ -98,13 +98,13 @@ void DmaEngine::tick() {
   ++busy_cycles_;
 
   // Resolve last cycle's beats; ungranted beats are reposted below.
-  std::deque<PendingBeat> retry;
+  retry_.clear();
   bool any_stall = false;
   for (const PendingBeat& beat : in_flight_) {
     Active& a = active_of(beat.id);
     const LogResult& res = hci_.log_result(beat.port);
     if (!res.granted) {
-      retry.push_back(beat);
+      retry_.push_back(beat);
       any_stall = true;
       continue;
     }
@@ -130,7 +130,7 @@ void DmaEngine::tick() {
   // beats are being re-driven, so setup progresses only on retry-free cycles
   // -- a transfer's latency is its own, never consumed by another transfer's
   // contention recovery.
-  if (retry.empty())
+  if (retry_.empty())
     for (Active& a : active_)
       if (a.latency_left > 0) --a.latency_left;
 
@@ -158,7 +158,7 @@ void DmaEngine::tick() {
     ++used_ports;
   };
 
-  for (const PendingBeat& beat : retry) post(beat);
+  for (const PendingBeat& beat : retry_) post(beat);
   // Injected stall: new beats stay frozen while the countdown drains, but the
   // retry reposts above already went out -- the HCI handshake is never broken
   // mid-beat, so an injected stall can slow a transfer but not corrupt it.

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "mem/hci.hpp"
 #include "mem/l2.hpp"
@@ -190,6 +191,9 @@ class DmaEngine : public sim::Clocked {
   std::deque<Queued> queue_;
   std::deque<Active> active_;  ///< up to cfg_.max_channels, activation order
   std::deque<PendingBeat> in_flight_;
+  /// tick()'s ungranted beats, reposted the same cycle. A member, cleared
+  /// at the start of each tick, so a busy cycle does not allocate.
+  std::vector<PendingBeat> retry_;
 
   uint64_t next_id_ = 0;
   /// Completion tracking: every id < done_floor_ is complete; ids completed

@@ -174,10 +174,10 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
         } catch (...) {
           slots[k].error = std::current_exception();
         }
-        {
-          std::lock_guard<std::mutex> l(m);
-          ++done;
-        }
+        // Notify under the lock: the waiter owns cv and destroys it as soon
+        // as it sees the last slice done, so the notify must finish first.
+        std::lock_guard<std::mutex> l(m);
+        ++done;
         cv.notify_one();
       });
     }

@@ -29,6 +29,8 @@ struct GemmShape {
   uint32_t n = 0;
   uint32_t k = 0;
 
+  friend bool operator==(const GemmShape&, const GemmShape&) = default;
+
   uint64_t macs() const { return static_cast<uint64_t>(m) * n * k; }
   uint64_t bytes() const {
     return 2ull * (static_cast<uint64_t>(m) * n + static_cast<uint64_t>(n) * k +

@@ -268,10 +268,7 @@ void apply_sgd_update(MatrixF16& w, const MatrixF16& dw, double lr,
                       uint32_t batch) {
   REDMULE_REQUIRE(w.same_shape(dw), "weight/gradient shape mismatch");
   const double scale = lr / static_cast<double>(batch);
-  for (size_t r = 0; r < w.rows(); ++r)
-    for (size_t c = 0; c < w.cols(); ++c)
-      w(r, c) = Float16::sub(w(r, c),
-                             Float16::from_double(scale * dw(r, c).to_double()));
+  fp16::sub_scaled_row(w.data(), dw.data(), scale, w.size());
 }
 
 }  // namespace redmule::workloads
