@@ -34,6 +34,7 @@ ClusterPool::Acquired ClusterPool::acquire(const cluster::ClusterConfig& cfg) {
       return {cand.cl.get(), false};
     }
   pool_.push_back(Entry{key, std::make_unique<cluster::Cluster>(cfg)});
+  pool_.back().cl->set_timing_cache(timing_cache_.get());
   return {pool_.back().cl.get(), true};
 }
 

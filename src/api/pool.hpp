@@ -28,6 +28,11 @@
 ///    the one deliberately shared piece: images are immutable once published
 ///    (shared_ptr<const>, atomic refcounts), so worker threads fork from one
 ///    cache without touching each other's clusters.
+///  - cluster::TimingCache: each pool owns one and attaches it to every
+///    cluster it builds, so a tiled GEMM that repeats on a pooled cluster
+///    replays its recorded cycle-model outcome (bit- and cycle-identical).
+///    Clusters outside a pool never get one: Service::run_one and every
+///    directly built cluster always run the cycle model.
 ///
 /// api::Service fronts this engine with admission control, a priority queue,
 /// deadlines, cancellation and retry; shard::ShardExecutor drives it directly
@@ -55,6 +60,7 @@
 
 #include "api/workload.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/timing_cache.hpp"
 #include "state/snapshot.hpp"
 
 namespace redmule::api {
@@ -87,7 +93,8 @@ class TemplateCache {
 class ClusterPool {
  public:
   ClusterPool()
-      : local_templates_(std::make_unique<TemplateCache>()),
+      : timing_cache_(std::make_unique<cluster::TimingCache>()),
+        local_templates_(std::make_unique<TemplateCache>()),
         templates_(local_templates_.get()) {}
 
   struct Acquired {
@@ -137,12 +144,19 @@ class ClusterPool {
   uint64_t template_forks() const { return template_forks_; }
   /// acquire_template() calls that staged + published the template.
   uint64_t template_misses() const { return template_misses_; }
+  /// The pool's timing cache, attached to every cluster it constructs:
+  /// repeated tiled GEMMs on them replay their recorded cycle-model outcome
+  /// (cluster/timing_cache.hpp). Worker-private like the pool itself.
+  const cluster::TimingCache& timing_cache() const { return *timing_cache_; }
 
  private:
   struct Entry {
     uint64_t key = 0;
     std::unique_ptr<cluster::Cluster> cl;
   };
+  /// Behind a pointer so the pool stays movable while its clusters hold the
+  /// cache's address; declared first so it outlives them.
+  std::unique_ptr<cluster::TimingCache> timing_cache_;
   std::vector<Entry> pool_;
   uint64_t jobs_run_ = 0;
   uint64_t template_forks_ = 0;

@@ -276,6 +276,7 @@ void Service::run_next(ClusterPool& pool) {
   l.unlock();
 
   PoolCounters counters;
+  const cluster::TimingCache::Counters tc0 = pool.timing_cache().counters();
   unsigned attempt = 0;
   WorkloadResult res = execute(pool, job, 0, counters);
   // Bounded retry: only the transient kEngineFault class re-runs. Every
@@ -291,6 +292,10 @@ void Service::run_next(ClusterPool& pool) {
           cfg_.retry_backoff_ms << (attempt - 1)));
     res = execute(pool, job, static_cast<int32_t>(attempt), counters);
   }
+  const cluster::TimingCache::Counters& tc1 = pool.timing_cache().counters();
+  // Unsigned wrap-around keeps a shrinking byte count exact in the sum.
+  counters.timing_cache = {tc1.hits - tc0.hits, tc1.misses - tc0.misses,
+                           tc1.evictions - tc0.evictions, tc1.bytes - tc0.bytes};
   const bool ok = res.ok();
   const uint64_t cycles = res.stats.cycles;
   const uint64_t macs = res.stats.macs;
@@ -313,6 +318,10 @@ void Service::run_next(ClusterPool& pool) {
   stats_.cluster_reuses += counters.reused;
   stats_.template_forks += counters.template_forks;
   stats_.template_misses += counters.template_misses;
+  stats_.timing_cache_hits += counters.timing_cache.hits;
+  stats_.timing_cache_misses += counters.timing_cache.misses;
+  stats_.timing_cache_evictions += counters.timing_cache.evictions;
+  stats_.timing_cache_bytes += counters.timing_cache.bytes;
   running_.erase(job.id);
   l.unlock();
 

@@ -156,6 +156,14 @@ struct ServiceStats {
   /// sum counts the executions that took the template path at all.
   uint64_t template_forks = 0;
   uint64_t template_misses = 0;
+  /// The workers' timing caches (cluster/timing_cache.hpp): tiled GEMMs
+  /// replayed from a recorded outcome, GEMMs recorded after a cycle-model
+  /// run, entries evicted, and the bytes the caches hold now (the per-job
+  /// changes add up to the current total).
+  uint64_t timing_cache_hits = 0;
+  uint64_t timing_cache_misses = 0;
+  uint64_t timing_cache_evictions = 0;
+  uint64_t timing_cache_bytes = 0;
 };
 
 /// Move-only handle to one submitted job: its id (for cancel()) and the
@@ -293,6 +301,7 @@ class Service {
     uint64_t reused = 0;
     uint64_t template_forks = 0;
     uint64_t template_misses = 0;
+    cluster::TimingCache::Counters timing_cache;  ///< this job's changes
   };
   WorkloadResult execute(ClusterPool& pool, Pending& job, int32_t attempt,
                          PoolCounters& counters);

@@ -18,6 +18,8 @@
 
 namespace redmule::cluster {
 
+class TimingCache;
+
 struct ClusterConfig {
   unsigned n_cores = 8;
   uint32_t periph_base = 0x10200000;  ///< RedMulE register file window
@@ -27,6 +29,8 @@ struct ClusterConfig {
   unsigned hci_max_stall = 8;         ///< rotation latency of the HCI arbiter
   bool shallow_has_priority = true;
   unsigned dma_channels = 2;          ///< concurrent DMA transfers (DmaConfig)
+
+  friend bool operator==(const ClusterConfig&, const ClusterConfig&) = default;
 };
 
 /// Owns and wires all cluster components; exposes them for testbenches and
@@ -63,6 +67,13 @@ class Cluster {
   /// reset() -- arming is a property of the current run, not of the
   /// hardware state (see api::ScopedRunControl for the RAII wrapper).
   void install_run_control(sim::RunControl* rc);
+
+  /// Attaches (nullptr = detaches) the timing cache that tiled GEMMs on this
+  /// cluster consult (cluster/timing_cache.hpp). Not owned. Only
+  /// api::ClusterPool attaches one, to the clusters it holds; like the run
+  /// control it is wiring, not hardware state, so reset() keeps it.
+  void set_timing_cache(TimingCache* cache) { timing_cache_ = cache; }
+  TimingCache* timing_cache() const { return timing_cache_; }
 
   /// In-place re-initialization of the whole module hierarchy to the
   /// freshly-constructed state: memories zeroed, interconnect arbitration
@@ -102,6 +113,7 @@ class Cluster {
   std::unique_ptr<core::RedmuleEngine> redmule_;
   std::vector<std::unique_ptr<isa::RiscvCore>> cores_;
   std::unique_ptr<RedmulePeriph> periph_;
+  TimingCache* timing_cache_ = nullptr;
 };
 
 }  // namespace redmule::cluster

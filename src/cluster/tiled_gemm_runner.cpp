@@ -4,6 +4,8 @@
 #include <optional>
 #include <vector>
 
+#include "cluster/timing_cache.hpp"
+
 namespace redmule::cluster {
 
 namespace {
@@ -39,6 +41,16 @@ std::vector<Step> make_schedule(const TiledGemmPlan& p) {
     }
   }
   return steps;
+}
+
+/// TCDM tile buffers of one run_staged() call (ping/pong where streamed).
+struct TileBuffers {
+  std::array<uint32_t, 2> xb{}, wb{}, zb{};
+};
+
+/// True when the byte ranges [a, a + a_len) and [b, b + b_len) intersect.
+bool overlaps(uint32_t a, uint64_t a_len, uint32_t b, uint64_t b_len) {
+  return a < b + b_len && b < a + a_len;
 }
 
 }  // namespace
@@ -108,42 +120,22 @@ TiledGemmRunner::Result TiledGemmRunner::run_planned(const MatrixF16& x,
   return res;
 }
 
-TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
-                                           const TiledGemmPlan& plan) {
-  plan.validate();
-  // The bit-exactness contract: a tiled reduction must cut at a multiple of
-  // the array width H, or the engine pads each cut to H mid-chain with
-  // fma(0,0,acc) steps that can flip a -0 accumulator to +0.
-  REDMULE_REQUIRE(plan.n_tiles() == 1 ||
-                      plan.tile_n % cl_.config().geometry.h == 0,
-                  "tile_n must be a multiple of the array width H when the "
-                  "reduction is tiled (bit-exactness contract)");
-  auto& l2 = cl_.l2();
-  const uint32_t m = plan.m, np = plan.n, kp = plan.k;
+namespace {
+
+/// The cycle model: drains the tile grid through the DMA/engine pipeline.
+TiledGemmStats run_model(Cluster& cl, RedmuleDriver& drv, bool double_buffer,
+                         const StagedGemm& addrs, const TiledGemmPlan& plan,
+                         const std::vector<Step>& steps, const TileBuffers& buf) {
+  const uint32_t np = plan.n, kp = plan.k;
   const uint32_t l2_x = addrs.x_addr, l2_w = addrs.w_addr;
   const uint32_t l2_z = addrs.z_addr, l2_y = addrs.y_addr;
-  REDMULE_REQUIRE(l2.contains(l2_x, m * np * 2) && l2.contains(l2_w, np * kp * 2) &&
-                      l2.contains(l2_z, m * kp * 2) &&
-                      (!plan.has_y || l2.contains(l2_y, m * kp * 2)),
-                  "staged tiled-GEMM operand region outside L2");
-
-  // --- TCDM tile buffers ----------------------------------------------------
-  // Released via free_to() on the way out: once Z has been read back from
-  // L2 the buffers are dead, and a later run() should replan from the full
-  // budget (on a thrown exception the cluster needs a reset anyway).
-  const uint32_t alloc_mark = drv_.alloc_mark();
-  std::array<uint32_t, 2> xb{}, wb{}, zb{};
-  for (unsigned i = 0; i < plan.x_buffers(); ++i) xb[i] = drv_.alloc(plan.x_buf_bytes());
-  for (unsigned i = 0; i < plan.w_buffers(); ++i) wb[i] = drv_.alloc(plan.w_buf_bytes());
-  for (unsigned i = 0; i < plan.z_buffers(); ++i) zb[i] = drv_.alloc(plan.z_buf_bytes());
-
-  const std::vector<Step> steps = make_schedule(plan);
-  auto& dma = cl_.dma();
+  const auto& [xb, wb, zb] = buf;
+  auto& dma = cl.dma();
   TiledGemmStats stats;
   stats.steps = static_cast<uint32_t>(steps.size());
   // stats.macs stays 0: only the caller knows the unpadded useful extents
   // (run_planned and the network executor both fill it in).
-  const uint64_t cycle0 = cl_.cycle();
+  const uint64_t cycle0 = cl.cycle();
   const uint64_t bytes_in0 = dma.bytes_in();
   const uint64_t bytes_out0 = dma.bytes_out();
 
@@ -169,10 +161,10 @@ TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
   };
 
   auto wait_id = [&](uint64_t id) {
-    const uint64_t before = cl_.cycle();
-    const bool ok = cl_.run_until([&] { return dma.done(id); }, 100'000'000ull);
+    const uint64_t before = cl.cycle();
+    const bool ok = cl.run_until([&] { return dma.done(id); }, 100'000'000ull);
     if (!ok) throw TimeoutError("tiled-GEMM DMA transfer timed out");
-    stats.dma_wait_cycles += cl_.cycle() - before;
+    stats.dma_wait_cycles += cl.cycle() - before;
   };
   auto wait_ids = [&](const std::vector<uint64_t>& ids) {
     for (const uint64_t id : ids) wait_id(id);
@@ -207,16 +199,16 @@ TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
   // A resident W (single buffer) is streamed exactly once, up front.
   if (plan.w_buffers() == 1) wait_id(submit_w(steps.front(), 0));
 
-  if (!opts_.double_buffer) {
+  if (!double_buffer) {
     // Serial reference: every transfer completes before the next stage runs.
     for (size_t idx = 0; idx < steps.size(); ++idx) {
       const Step& s = steps[idx];
-      cl_.sim().checkpoint();  // per-tile deadline/cancel poll point
+      cl.sim().checkpoint();  // per-tile deadline/cancel poll point
       wait_id(submit_x(s, xslot(idx)));
       if (plan.w_buffers() > 1) wait_id(submit_w(s, wslot(idx)));
       if (s.first_n && plan.has_y) wait_id(submit_y(s, zslot(s.ot)));
-      drv_.start_job(make_job(s, idx));
-      track(drv_.wait_job());
+      drv.start_job(make_job(s, idx));
+      track(drv.wait_job());
       if (s.last_n) wait_id(submit_z_out(s, zslot(s.ot)));
     }
   } else {
@@ -240,26 +232,146 @@ TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
     std::vector<uint64_t> pending = submit_loads(0);
     for (size_t idx = 0; idx < steps.size(); ++idx) {
       const Step& s = steps[idx];
-      cl_.sim().checkpoint();  // per-tile deadline/cancel poll point
+      cl.sim().checkpoint();  // per-tile deadline/cancel poll point
       wait_ids(pending);
       pending.clear();
       // First write into a Z slot: the previous tile using it must be fully
       // stored (already guaranteed when a Y preload synced above).
       if (s.first_n) wait_z_slot(zslot(s.ot));
-      drv_.start_job(make_job(s, idx));
+      drv.start_job(make_job(s, idx));
       if (idx + 1 < steps.size()) pending = submit_loads(idx + 1);
-      track(drv_.wait_job());
+      track(drv.wait_job());
       if (s.last_n) z_out_pending[zslot(s.ot)] = submit_z_out(s, zslot(s.ot));
     }
     wait_z_slot(0);
     wait_z_slot(1);
   }
 
-  stats.total_cycles = cl_.cycle() - cycle0;
+  stats.total_cycles = cl.cycle() - cycle0;
   stats.dma_bytes_in = dma.bytes_in() - bytes_in0;
   stats.dma_bytes_out = dma.bytes_out() - bytes_out0;
+  return stats;
+}
+
+/// A timing-cache hit: the recorded outcome of the cycle model, with Z from
+/// the golden model and the TCDM tile buffers rewritten to the bytes the
+/// DMA and the engine leave there.
+TiledGemmStats replay(Cluster& cl, const StagedGemm& addrs,
+                      const TiledGemmPlan& plan, const std::vector<Step>& steps,
+                      const TileBuffers& buf, const TimingOutcome& rec) {
+  cl.sim().checkpoint();
+  auto& l2 = cl.l2();
+  const auto read_l2 = [&](uint32_t addr, uint32_t rows, uint32_t cols) {
+    MatrixF16 mat(rows, cols);
+    l2.read(addr, mat.data(), static_cast<uint32_t>(mat.size_bytes()));
+    return mat;
+  };
+  // Every operand is read before Z is written: Y may be Z's own region.
+  const MatrixF16 x = read_l2(addrs.x_addr, plan.m, plan.n);
+  const MatrixF16 w = read_l2(addrs.w_addr, plan.n, plan.k);
+  std::optional<MatrixF16> y;
+  if (plan.has_y) y = read_l2(addrs.y_addr, plan.m, plan.k);
+  const MatrixF16 z = core::golden_gemm_padded(x, w, cl.config().geometry,
+                                               y ? &*y : nullptr);
+  l2.write(addrs.z_addr, z.data(), static_cast<uint32_t>(z.size_bytes()));
+
+  // The schedule's tile writes, in order, leave each buffer holding its last
+  // tile. A Z slot's Y preload and partial sums cover exactly the region its
+  // final Z tile overwrites, so only the final tiles are written.
+  auto& tcdm = cl.tcdm();
+  const auto put = [&](const MatrixF16& src, uint32_t r0, uint32_t c0,
+                       uint32_t rows, uint32_t cols, uint32_t dst) {
+    for (uint32_t r = 0; r < rows; ++r)
+      tcdm.backdoor_write(dst + r * cols * 2, &src(r0 + r, c0), cols * 2);
+  };
+  if (plan.w_buffers() == 1) {
+    const Step& s = steps.front();
+    put(w, s.n0, s.c0, s.tn, s.tk, buf.wb[0]);
+  }
+  for (size_t idx = 0; idx < steps.size(); ++idx) {
+    const Step& s = steps[idx];
+    put(x, s.r0, s.n0, s.tm, s.tn, buf.xb[idx % plan.x_buffers()]);
+    if (plan.w_buffers() > 1)
+      put(w, s.n0, s.c0, s.tn, s.tk, buf.wb[idx % plan.w_buffers()]);
+    if (s.last_n) put(z, s.r0, s.c0, s.tm, s.tk, buf.zb[s.ot % plan.z_buffers()]);
+  }
+  rec.post.restore(cl);
+  cl.sim().checkpoint();
+  return rec.stats;
+}
+
+}  // namespace
+
+TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
+                                           const TiledGemmPlan& plan) {
+  plan.validate();
+  // The bit-exactness contract: a tiled reduction must cut at a multiple of
+  // the array width H, or the engine pads each cut to H mid-chain with
+  // fma(0,0,acc) steps that can flip a -0 accumulator to +0.
+  REDMULE_REQUIRE(plan.n_tiles() == 1 ||
+                      plan.tile_n % cl_.config().geometry.h == 0,
+                  "tile_n must be a multiple of the array width H when the "
+                  "reduction is tiled (bit-exactness contract)");
+  auto& l2 = cl_.l2();
+  const uint32_t m = plan.m, np = plan.n, kp = plan.k;
+  REDMULE_REQUIRE(l2.contains(addrs.x_addr, m * np * 2) &&
+                      l2.contains(addrs.w_addr, np * kp * 2) &&
+                      l2.contains(addrs.z_addr, m * kp * 2) &&
+                      (!plan.has_y || l2.contains(addrs.y_addr, m * kp * 2)),
+                  "staged tiled-GEMM operand region outside L2");
+
+  // --- TCDM tile buffers ----------------------------------------------------
+  // Released via free_to() on the way out: once Z has been read back from
+  // L2 the buffers are dead, and a later run() should replan from the full
+  // budget (on a thrown exception the cluster needs a reset anyway).
+  const uint32_t alloc_mark = drv_.alloc_mark();
+  TileBuffers buf;
+  for (unsigned i = 0; i < plan.x_buffers(); ++i) buf.xb[i] = drv_.alloc(plan.x_buf_bytes());
+  for (unsigned i = 0; i < plan.w_buffers(); ++i) buf.wb[i] = drv_.alloc(plan.w_buf_bytes());
+  for (unsigned i = 0; i < plan.z_buffers(); ++i) buf.zb[i] = drv_.alloc(plan.z_buf_bytes());
+  const std::vector<Step> steps = make_schedule(plan);
+
+  TiledGemmStats stats;
+  TimingCache* cache = replayable(addrs, plan) ? cl_.timing_cache() : nullptr;
+  if (cache == nullptr) {
+    stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
+  } else {
+    TimingKey key{cl_.config(), addrs,      plan, opts_.double_buffer,
+                  alloc_mark,   ModuleState::save(cl_)};
+    const TimingOutcome* rec = cache->find(key);
+    // An armed cycle budget that ends inside the recorded run must abort on
+    // the model's cycle with the model's error, so the model runs it.
+    const sim::RunControl* rc = cl_.sim().run_control();
+    if (rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle)) {
+      cache->count_hit();
+      stats = replay(cl_, addrs, plan, steps, buf, *rec);
+    } else {
+      stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
+      if (rec == nullptr && cl_.sim().quiescent())
+        cache->insert(std::move(key), TimingOutcome{ModuleState::save(cl_), stats});
+    }
+  }
   drv_.free_to(alloc_mark);
   return stats;
+}
+
+bool TiledGemmRunner::replayable(const StagedGemm& addrs,
+                                 const TiledGemmPlan& plan) const {
+  if (cl_.timing_cache() == nullptr) return false;
+  // Fault events act on the model's cycles; an observer wants its schedule;
+  // with idle skipping off the cores tick, and their state is not recorded.
+  const sim::RunControl* rc = cl_.sim().run_control();
+  if ((rc != nullptr && rc->faults_armed()) || cl_.redmule().has_schedule_observer() ||
+      !cl_.sim().idle_skipping() || !cl_.sim().quiescent() || drv_.job_pending())
+    return false;
+  // The replay reads every operand from L2 at entry, which is what the DMA
+  // reads only when no Z store can land on X, W or a Y tile read later.
+  const uint64_t z_len = 2ull * plan.m * plan.k;
+  if (overlaps(addrs.z_addr, z_len, addrs.x_addr, 2ull * plan.m * plan.n) ||
+      overlaps(addrs.z_addr, z_len, addrs.w_addr, 2ull * plan.n * plan.k))
+    return false;
+  return !plan.has_y || addrs.y_addr == addrs.z_addr ||
+         !overlaps(addrs.z_addr, z_len, addrs.y_addr, z_len);
 }
 
 }  // namespace redmule::cluster

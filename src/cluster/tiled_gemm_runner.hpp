@@ -19,7 +19,10 @@
 /// Determinism: the result (Z bits, cycle counts, per-step engine counters)
 /// is a pure function of (inputs, plan, cluster config) -- there is no
 /// wall-clock or thread dependence, so tiled jobs keep the batch runner's
-/// bit-reproducibility contract.
+/// bit-reproducibility contract. The timing part does not depend on the
+/// operand values at all (tests/cluster/test_timing_contract.cpp), which is
+/// what lets a cluster with a TimingCache attached replay a repeated
+/// run_staged() call instead of simulating it (cluster/timing_cache.hpp).
 #pragma once
 
 #include <cstdint>
@@ -82,6 +85,8 @@ struct StagedGemm {
   uint32_t w_addr = 0;
   uint32_t z_addr = 0;
   uint32_t y_addr = 0;  ///< read when the plan has has_y set
+
+  friend bool operator==(const StagedGemm&, const StagedGemm&) = default;
 };
 
 class TiledGemmRunner {
@@ -111,11 +116,19 @@ class TiledGemmRunner {
   /// before returning, so back-to-back calls replan from the full budget.
   /// The returned stats.macs is left 0 -- only the caller knows the problem's
   /// unpadded useful extents; fill it in the way run_planned and
-  /// NetworkRunner do.
+  /// NetworkRunner do. With a timing cache attached (pooled clusters only)
+  /// a call whose key was recorded replays it: same Z, L2, TCDM, cycles and
+  /// counters, without running the cycle model.
   TiledGemmStats run_staged(const StagedGemm& addrs,
                             const workloads::TiledGemmPlan& plan);
 
  private:
+  /// True when a timing cache is attached and may serve this call: no fault
+  /// plan or schedule observer, idle skipping on, a quiescent cluster on
+  /// entry, and Z disjoint from X, W and (unless it is Y itself) Y.
+  bool replayable(const StagedGemm& addrs,
+                  const workloads::TiledGemmPlan& plan) const;
+
   Cluster& cl_;
   RedmuleDriver& drv_;
   TiledGemmOptions opts_;

@@ -21,6 +21,8 @@ struct Geometry {
   unsigned l = 8;  ///< rows of FMAs
   unsigned p = 3;  ///< pipeline registers inside each FMA
 
+  friend bool operator==(const Geometry&, const Geometry&) = default;
+
   unsigned fma_latency() const { return p + 1; }
   unsigned n_fmas() const { return h * l; }
   /// Concurrent j-indices per row = Z-tile width (16 for the default).
@@ -51,6 +53,8 @@ struct Job {
   uint32_t n = 0;
   uint32_t k = 0;
   bool accumulate = false;  ///< Z = Y + X*W instead of Z = X*W
+
+  friend bool operator==(const Job&, const Job&) = default;
 
   void validate() const {
     REDMULE_REQUIRE(m >= 1 && n >= 1 && k >= 1, "matrix sizes must be positive");

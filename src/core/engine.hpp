@@ -33,6 +33,8 @@ struct JobStats {
   uint64_t macs = 0;            ///< useful MACs (M*N*K)
   uint64_t fma_ops = 0;         ///< physical FMA issues incl. padded lanes
 
+  friend bool operator==(const JobStats&, const JobStats&) = default;
+
   double macs_per_cycle() const {
     return cycles == 0 ? 0.0 : static_cast<double>(macs) / static_cast<double>(cycles);
   }
@@ -75,6 +77,7 @@ class RedmuleEngine : public sim::Clocked {
     // of dispatching through the std::function emptiness check every advance.
     observer_active_ = static_cast<bool>(observer_);
   }
+  bool has_schedule_observer() const { return observer_active_; }
 
   /// In-place re-initialization to the freshly-constructed state: aborts any
   /// running job, clears datapath/buffers/streamer/register file and all
@@ -97,6 +100,7 @@ class RedmuleEngine : public sim::Clocked {
     JobStats last_stats;
     bool done_event = false;
     Streamer::State streamer;
+    friend bool operator==(const State&, const State&) = default;
   };
   /// Requires is_idle(): a running engine is mid-schedule, not capturable.
   State save_state() const;

@@ -26,6 +26,8 @@ MatrixF16 golden_gemm(const MatrixF16& x, const MatrixF16& w);
 /// Same, with N padded up to a multiple of \p g.h with explicit zero FMAs --
 /// bit-identical to the hardware array's output. If \p y is non-null the
 /// accumulator starts from Y (the Z = Y + X*W extension) instead of zero.
+/// Runs each chain step over a whole row of Z on fp16::fma_row; the scalar
+/// chain it must equal is kept in tests/core/test_golden.cpp.
 MatrixF16 golden_gemm_padded(const MatrixF16& x, const MatrixF16& w, const Geometry& g,
                              const MatrixF16* y = nullptr);
 

@@ -102,6 +102,8 @@ class RegFile {
   /// programmed registers): freshly-constructed state for cluster reuse.
   void reset() { *this = RegFile{}; }
 
+  friend bool operator==(const RegFile&, const RegFile&) = default;
+
  private:
   Job job_;
   bool busy_ = false;

@@ -64,6 +64,7 @@ class Streamer {
     uint64_t issued_stores = 0;
     uint64_t retry_cycles = 0;
     uint64_t idle_port_cycles = 0;
+    friend bool operator==(const State&, const State&) = default;
   };
   /// Requires idle().
   State save_state() const {

@@ -334,7 +334,9 @@ inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
 /// native lane the whole row is a few masked vector ops; on the binary64
 /// lane the kill switch and the classification and widening of \p w are
 /// hoisted out of the per-element loop, and lanes it cannot take fall back
-/// to fma_soft() one element at a time. \p out must not alias \p x or \p acc.
+/// to fma_soft() one element at a time. \p out may be \p acc itself (each
+/// lane reads its inputs before writing), but must not overlap \p x or
+/// overlap \p acc at an offset.
 inline void fma_row(const Float16* x, Float16 w, const Float16* acc, Float16* out,
                     unsigned n) {
   const bool fast = detail::g_fast_fma_enabled.load(std::memory_order_relaxed);

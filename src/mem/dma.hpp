@@ -122,6 +122,7 @@ class DmaEngine : public sim::Clocked {
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
     uint64_t injected_stall_cycles = 0;
+    friend bool operator==(const State&, const State&) = default;
   };
   /// Requires idle(): a DMA with queued or active transfers cannot be
   /// captured (its in-flight beats reference the live interconnect).

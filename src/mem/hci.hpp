@@ -134,6 +134,7 @@ class Hci : public sim::Clocked {
     uint64_t shallow_grants = 0;
     uint64_t shallow_stalls = 0;
     uint64_t rotation_events = 0;
+    friend bool operator==(const State&, const State&) = default;
   };
   /// Requires is_idle(): a mid-flight interconnect has no capturable state.
   State save_state() const;

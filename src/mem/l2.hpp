@@ -46,6 +46,8 @@ struct L2Config {
   uint32_t size_bytes = 1536 * 1024;  ///< 1.5 MiB, typical PULP SoC L2
   unsigned bytes_per_cycle = 8;       ///< 64-bit AXI beat
   unsigned access_latency = 10;       ///< cycles to first beat of a burst
+
+  friend bool operator==(const L2Config&, const L2Config&) = default;
 };
 
 class L2Memory {

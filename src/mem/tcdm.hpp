@@ -21,6 +21,8 @@ struct TcdmConfig {
   unsigned n_banks = 16;            ///< word-interleaved banks
   unsigned words_per_bank = 2048;   ///< 8 KiB/bank -> 128 KiB total (default)
 
+  friend bool operator==(const TcdmConfig&, const TcdmConfig&) = default;
+
   uint32_t size_bytes() const { return n_banks * words_per_bank * 4; }
 };
 

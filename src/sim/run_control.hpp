@@ -104,6 +104,11 @@ class RunControl {
   /// is armed.
   void checkpoint(uint64_t cycle);
 
+  /// Absolute cycle at which the budget aborts (kNoCycleLimit: none).
+  uint64_t cycle_limit() const { return cycle_limit_; }
+  /// True when arm_faults() left at least one event for this attempt.
+  bool faults_armed() const { return !faults_.empty(); }
+
   /// Checkpoints observed so far (tests assert the polling actually runs).
   uint64_t checkpoints() const { return checkpoints_; }
 

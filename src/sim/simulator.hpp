@@ -99,6 +99,7 @@ class Simulator {
     uint64_t cycle = 0;
     uint64_t skipped_module_ticks = 0;
     uint64_t fast_forwarded_cycles = 0;
+    friend bool operator==(const State&, const State&) = default;
   };
   State save_state() const {
     return State{cycle_, skipped_module_ticks_, fast_forwarded_cycles_};

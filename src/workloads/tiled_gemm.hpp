@@ -32,6 +32,8 @@ struct TiledGemmPlan {
   uint32_t tile_m = 0, tile_n = 0, tile_k = 0;
   bool has_y = false;  ///< a user Y operand is streamed into the Z buffers
 
+  friend bool operator==(const TiledGemmPlan&, const TiledGemmPlan&) = default;
+
   uint32_t m_tiles() const { return ceil_div(m, tile_m); }
   uint32_t n_tiles() const { return ceil_div(n, tile_n); }
   uint32_t k_tiles() const { return ceil_div(k, tile_k); }

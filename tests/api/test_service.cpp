@@ -421,6 +421,13 @@ TEST(ApiWarmStart, WarmJobsMatchColdOracleAndCountForks) {
   const api::ServiceStats st = service.stats();
   EXPECT_EQ(st.template_misses, 1u) << "first warm job stages the template";
   EXPECT_EQ(st.template_forks, 2u) << "later identical jobs fork the image";
+  // Timing cache: the first job runs the cycle model for every GEMM and
+  // records it; the forks start from the same state and replay all of them.
+  EXPECT_GT(st.timing_cache_misses, 0u);
+  EXPECT_EQ(st.timing_cache_hits, 2 * st.timing_cache_misses);
+  EXPECT_EQ(st.timing_cache_evictions, 0u);
+  EXPECT_GT(st.timing_cache_bytes, 0u);
+  EXPECT_LE(st.timing_cache_bytes, cluster::TimingCache::kBudgetBytes);
 }
 
 TEST(ApiWarmStart, SubmitOptionsOverrideTheSpecFlag) {
