@@ -79,7 +79,7 @@ Service::~Service() {
 JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts) {
   Pending job;
   job.keep_outputs = opts.keep_output.value_or(cfg_.keep_outputs);
-  job.warm = opts.warm_start.value_or(workload && workload->warm_by_default());
+  job.warm = workload && workload->warm_by_default();
   job.deadline = opts.deadline.value_or(cfg_.default_deadline);
   job.max_retries = opts.max_retries;
   job.fault_plan = opts.fault_plan;

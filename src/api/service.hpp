@@ -117,14 +117,6 @@ struct SubmitOptions {
   /// Deterministic fault plan threaded into the run (not owned; must outlive
   /// the job). Test/chaos harness hook -- see sim/fault_plan.hpp.
   const sim::FaultPlan* fault_plan = nullptr;
-  /// Snapshot/fork warm start. Unset: the workload decides
-  /// (Workload::warm_by_default, the spec-string warm=1 opt-in). true forces
-  /// the template path for template-capable workloads (ignored -- cold run --
-  /// for workloads with an empty template_key, and in the
-  /// reuse_clusters=false baseline mode, where nothing persists to fork
-  /// from); false forces a cold run. Purely a provisioning choice: results
-  /// are bit-identical either way.
-  std::optional<bool> warm_start;
   /// Invoked on the worker thread right before the future is fulfilled,
   /// for jobs that actually EXECUTED (ok or failed). Jobs that never start
   /// -- cancelled, dropped at service destruction, or rejected null
@@ -279,7 +271,7 @@ class Service {
     uint64_t group = 0;
     std::unique_ptr<Workload> work;
     bool keep_outputs = false;
-    bool warm = false;  ///< resolved SubmitOptions::warm_start
+    bool warm = false;  ///< Workload::warm_by_default() at submission
     Deadline deadline{};
     unsigned max_retries = 0;
     const sim::FaultPlan* fault_plan = nullptr;

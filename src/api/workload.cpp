@@ -44,6 +44,22 @@ Error check_gemm_spec(const GemmSpec& spec) {
   return {};
 }
 
+/// The operands of a GEMM spec, drawn from seed in the order X, W, then Y
+/// when accumulating (Y stays empty otherwise).
+struct GemmOperands {
+  workloads::MatrixF16 x, w, y;
+};
+
+GemmOperands draw_gemm_operands(const GemmSpec& spec) {
+  Xoshiro256 rng(spec.seed);
+  GemmOperands ops;
+  ops.x = workloads::random_matrix(spec.shape.m, spec.shape.n, rng);
+  ops.w = workloads::random_matrix(spec.shape.n, spec.shape.k, rng);
+  if (spec.accumulate)
+    ops.y = workloads::random_matrix(spec.shape.m, spec.shape.k, rng);
+  return ops;
+}
+
 std::string shape_tag(const workloads::GemmShape& s) {
   return !s.name.empty() ? s.name
                          : std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
@@ -154,16 +170,10 @@ Error GemmWorkload::validate() const { return check_gemm_spec(spec_); }
 WorkloadResult GemmWorkload::run(cluster::Cluster& cluster, RunContext& ctx) {
   ScopedRunControl control(cluster, ctx);
   cluster::RedmuleDriver drv(cluster);
-  Xoshiro256 rng(spec_.seed);
-  const auto x = workloads::random_matrix(spec_.shape.m, spec_.shape.n, rng);
-  const auto w = workloads::random_matrix(spec_.shape.n, spec_.shape.k, rng);
-  cluster::RedmuleDriver::GemmResult g;
-  if (spec_.accumulate) {
-    const auto y = workloads::random_matrix(spec_.shape.m, spec_.shape.k, rng);
-    g = drv.gemm_acc(x, w, y);
-  } else {
-    g = drv.gemm(x, w);
-  }
+  const GemmOperands ops = draw_gemm_operands(spec_);
+  cluster::RedmuleDriver::GemmResult g = spec_.accumulate
+                                             ? drv.gemm_acc(ops.x, ops.w, ops.y)
+                                             : drv.gemm(ops.x, ops.w);
   WorkloadResult res;
   res.stats = g.stats;
   res.z_hash = hash_matrix(g.z);
@@ -196,17 +206,10 @@ Error TiledGemmWorkload::validate() const { return check_gemm_spec(spec_); }
 WorkloadResult TiledGemmWorkload::run(cluster::Cluster& cluster, RunContext& ctx) {
   ScopedRunControl control(cluster, ctx);
   cluster::RedmuleDriver drv(cluster);
-  Xoshiro256 rng(spec_.seed);
-  const auto x = workloads::random_matrix(spec_.shape.m, spec_.shape.n, rng);
-  const auto w = workloads::random_matrix(spec_.shape.n, spec_.shape.k, rng);
+  const GemmOperands ops = draw_gemm_operands(spec_);
   cluster::TiledGemmRunner runner(cluster, drv);
-  cluster::TiledGemmRunner::Result r;
-  if (spec_.accumulate) {
-    const auto y = workloads::random_matrix(spec_.shape.m, spec_.shape.k, rng);
-    r = runner.run(x, w, &y);
-  } else {
-    r = runner.run(x, w);
-  }
+  cluster::TiledGemmRunner::Result r =
+      runner.run(ops.x, ops.w, spec_.accumulate ? &ops.y : nullptr);
   WorkloadResult res;
   res.stats = tiled_job_stats(r.stats);
   res.z_hash = hash_matrix(r.z);
@@ -290,24 +293,15 @@ WorkloadResult NetworkTrainingWorkload::run_staged(cluster::Cluster& cluster,
 
 WorkloadResult NetworkTrainingWorkload::run_impl(cluster::Cluster& cluster,
                                                  RunContext& ctx, bool staged) {
-  // Weights then the input batch are drawn from the workload's RNG stream,
-  // so (net config, seed, input_seed) fully determine the outcome regardless
-  // of worker, order, cluster reuse, or warm-start forking.
+  // (net config, seed, input_seed) fully determine the inputs, so the
+  // outcome is the same regardless of worker, order, cluster reuse, or
+  // warm-start forking.
   ScopedRunControl control(cluster, ctx);
   cluster::RedmuleDriver drv(cluster);
-  Xoshiro256 rng(spec_.seed);
-  workloads::NetworkGraph net =
-      workloads::NetworkGraph::autoencoder(spec_.net, rng);
-  const auto x = [&] {
-    if (spec_.input_seed == 0)  // legacy: continue the weight stream
-      return workloads::random_matrix(net.input_dim(), spec_.net.batch, rng);
-    Xoshiro256 input_rng(spec_.input_seed);
-    return workloads::random_matrix(net.input_dim(), spec_.net.batch,
-                                    input_rng);
-  }();
+  NetworkInputs in = draw_network_inputs(spec_);
   cluster::NetworkRunner runner(cluster, drv);
-  auto r = staged ? runner.training_step_staged(net, x, x, spec_.lr)
-                  : runner.training_step(net, x, x, spec_.lr);
+  auto r = staged ? runner.training_step_staged(in.net, in.x, in.x, spec_.lr)
+                  : runner.training_step(in.net, in.x, in.x, spec_.lr);
   WorkloadResult res;
   res.stats.cycles = r.stats.total_cycles;
   res.stats.macs = r.stats.macs;
@@ -316,11 +310,39 @@ WorkloadResult NetworkTrainingWorkload::run_impl(cluster::Cluster& cluster,
     res.stats.stall_cycles += gs.tiled.stall_cycles;
     res.stats.fma_ops += gs.tiled.fma_ops;
   }
-  uint64_t h = hash_matrix(r.out);
-  for (const workloads::MatrixF16& dw : r.dw) h = hash_fold(h, dw);
-  res.z_hash = h;
+  res.z_hash = hash_training_step(r.out, r.dw);
   if (ctx.keep_outputs) res.z = std::move(r.out);
   return res;
+}
+
+// --- The network family's shared definition ---------------------------------
+
+NetworkTrainingSpec network_spec_from(const SpecArgs& args) {
+  NetworkTrainingSpec spec;
+  spec.net.input_dim = args.u32("in", spec.net.input_dim);
+  spec.net.hidden = args.dims("hidden", spec.net.hidden);
+  spec.net.batch = args.u32("batch", 1);
+  spec.geometry = args.geometry("geom", core::Geometry{});
+  spec.seed = args.u64("seed", 1);
+  spec.lr = args.num("lr", spec.lr);
+  (void)args.str("name", "");  // accepted for symmetry, unused
+  return spec;
+}
+
+NetworkInputs draw_network_inputs(const NetworkTrainingSpec& spec) {
+  Xoshiro256 rng(spec.seed);
+  NetworkInputs in{workloads::NetworkGraph::autoencoder(spec.net, rng), {}};
+  Xoshiro256 input_rng(spec.input_seed);
+  in.x = workloads::random_matrix(in.net.input_dim(), spec.net.batch,
+                                  spec.input_seed == 0 ? rng : input_rng);
+  return in;
+}
+
+uint64_t hash_training_step(const workloads::MatrixF16& out,
+                            const std::vector<workloads::MatrixF16>& dw) {
+  uint64_t h = hash_matrix(out);
+  for (const workloads::MatrixF16& m : dw) h = hash_fold(h, m);
+  return h;
 }
 
 // --- SpecArgs ---------------------------------------------------------------
@@ -497,16 +519,9 @@ void register_builtins(WorkloadRegistry& reg) {
     return std::make_unique<TiledGemmWorkload>(std::move(spec));
   });
   reg.add("network", [](const SpecArgs& args) -> std::unique_ptr<Workload> {
-    NetworkTrainingSpec spec;
-    spec.net.input_dim = args.u32("in", spec.net.input_dim);
-    spec.net.hidden = args.dims("hidden", spec.net.hidden);
-    spec.net.batch = args.u32("batch", 1);
-    spec.geometry = args.geometry("geom", core::Geometry{});
-    spec.seed = args.u64("seed", 1);
-    spec.lr = args.num("lr", spec.lr);
+    NetworkTrainingSpec spec = network_spec_from(args);
     spec.input_seed = args.u64("input_seed", 0);
     spec.warm = args.flag("warm", false);
-    (void)args.str("name", "");  // accepted for symmetry, unused
     args.require_all_consumed("network");
     return std::make_unique<NetworkTrainingWorkload>(std::move(spec));
   });

@@ -59,8 +59,8 @@
 #include "common/matrix.hpp"
 #include "core/config.hpp"
 #include "core/engine.hpp"
-#include "workloads/autoencoder.hpp"
 #include "workloads/gemm.hpp"
+#include "workloads/network.hpp"
 
 namespace redmule::api {
 
@@ -210,9 +210,8 @@ class Workload {
   virtual WorkloadResult run_staged(cluster::Cluster& cluster, RunContext& ctx) {
     return run(cluster, ctx);
   }
-  /// Whether submission should take the warm-start path when the caller's
-  /// SubmitOptions leave it unspecified (the spec-string opt-in: specs carry
-  /// a warm flag the workload surfaces here).
+  /// Whether submission takes the warm-start path (the spec-string opt-in:
+  /// specs carry a warm flag the workload surfaces here).
   virtual bool warm_by_default() const { return false; }
 };
 
@@ -293,9 +292,10 @@ class TiledGemmWorkload : public Workload {
 
 /// Spec of a whole autoencoder training step (forward, dX, dW chains with
 /// L2-resident activations) executed by cluster::NetworkRunner. Weights and
-/// the input batch are drawn from \p seed; z_hash folds the reconstruction
-/// output plus every per-layer dW gradient, so the determinism contract
-/// covers the whole backward pass.
+/// the input batch are drawn by draw_network_inputs(); z_hash folds the
+/// reconstruction output plus every per-layer dW gradient
+/// (hash_training_step), so the determinism contract covers the whole
+/// backward pass.
 struct NetworkTrainingSpec {
   workloads::AutoencoderConfig net{};
   core::Geometry geometry{};
@@ -373,6 +373,30 @@ class SpecArgs {
   };
   std::map<std::string, Entry> kv_;
 };
+
+// --- The network family's shared definition ---------------------------------
+//
+// network and sharded_network (shard/sharded_workload.hpp) run one model
+// through two executors; their parser, input draw and output hash are these
+// functions, so a sharded run's z_hash equals the plain network's.
+
+/// Parses the keys every network kind accepts: in, hidden, batch, geom,
+/// seed, lr, and name (accepted for symmetry, unused). A kind reads its own
+/// extra keys before calling require_all_consumed().
+NetworkTrainingSpec network_spec_from(const SpecArgs& args);
+
+/// The graph and input batch of a network spec: the weights from seed, then
+/// the (input_dim x batch) batch, continuing the weight stream when
+/// input_seed is 0 and drawn from its own Xoshiro256(input_seed) otherwise.
+struct NetworkInputs {
+  workloads::NetworkGraph net;
+  workloads::MatrixF16 x;
+};
+NetworkInputs draw_network_inputs(const NetworkTrainingSpec& spec);
+
+/// A training step's z_hash: FNV-1a over the output, then every layer's dW.
+uint64_t hash_training_step(const workloads::MatrixF16& out,
+                            const std::vector<workloads::MatrixF16>& dw);
 
 /// Ceiling on the length of a spec string create() accepts. Spec strings are
 /// a trust boundary -- the serving front-end feeds them straight off the

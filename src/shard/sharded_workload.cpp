@@ -3,23 +3,11 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/rng.hpp"
-#include "workloads/gemm.hpp"
-
 namespace redmule::shard {
 
 std::string ShardedNetworkWorkload::name() const {
-  std::string n = "sharded_network:";
-  n += std::to_string(spec_.base.net.input_dim);
-  for (uint32_t d : spec_.base.net.hidden) {
-    n += '-';
-    n += std::to_string(d);
-  }
-  n += "@B";
-  n += std::to_string(spec_.base.net.batch);
-  n += "xS";
-  n += std::to_string(spec_.shards);
-  return n;
+  return "sharded_" + api::NetworkTrainingWorkload(spec_.base).name() + "xS" +
+         std::to_string(spec_.shards);
 }
 
 api::ClusterRequirements ShardedNetworkWorkload::requirements() const {
@@ -34,23 +22,18 @@ api::Error ShardedNetworkWorkload::validate() const {
 
 api::WorkloadResult ShardedNetworkWorkload::run(cluster::Cluster& cluster,
                                                 api::RunContext& ctx) {
-  // Input generation is byte-for-byte NetworkTrainingWorkload::run's:
-  // weights then the batch from one seed stream. The given cluster is the
-  // reduce cluster; the executor pools the shard clusters per run (the
-  // service's workers each own a single-job pool, so a persistent engine
-  // would idle between jobs anyway).
-  Xoshiro256 rng(spec_.base.seed);
-  workloads::NetworkGraph net =
-      workloads::NetworkGraph::autoencoder(spec_.base.net, rng);
-  const auto x =
-      workloads::random_matrix(net.input_dim(), spec_.base.net.batch, rng);
+  // The inputs and the hash are the network kind's own definitions. The
+  // given cluster is the reduce cluster; the executor pools the shard
+  // clusters per run (the service's workers each own a single-job pool, so a
+  // persistent engine would idle between jobs anyway).
+  api::NetworkInputs in = api::draw_network_inputs(spec_.base);
 
   ShardExecutor::Options opts;
   opts.n_workers = std::min(
       spec_.shards, std::max(1u, std::thread::hardware_concurrency()));
   ShardExecutor exec(opts);
   ShardedTrainingResult r =
-      exec.run(cluster, net, x, x, spec_.base.lr, spec_.shards, ctx);
+      exec.run(cluster, in.net, in.x, in.x, spec_.base.lr, spec_.shards, ctx);
 
   api::WorkloadResult res;
   res.stats.cycles = r.stats.makespan_cycles;
@@ -58,9 +41,7 @@ api::WorkloadResult ShardedNetworkWorkload::run(cluster::Cluster& cluster,
   res.stats.advance_cycles = r.stats.advance_cycles;
   res.stats.stall_cycles = r.stats.stall_cycles;
   res.stats.fma_ops = r.stats.fma_ops;
-  uint64_t h = api::hash_matrix(r.out);
-  for (const workloads::MatrixF16& dw : r.dw) h = api::hash_fold(h, dw);
-  res.z_hash = h;
+  res.z_hash = api::hash_training_step(r.out, r.dw);
   if (ctx.keep_outputs) res.z = std::move(r.out);
   return res;
 }
@@ -75,14 +56,8 @@ const bool registered = [] {
       "sharded_network",
       [](const api::SpecArgs& args) -> std::unique_ptr<api::Workload> {
         ShardedNetworkSpec spec;
-        spec.base.net.input_dim = args.u32("in", spec.base.net.input_dim);
-        spec.base.net.hidden = args.dims("hidden", spec.base.net.hidden);
-        spec.base.net.batch = args.u32("batch", 1);
-        spec.base.geometry = args.geometry("geom", core::Geometry{});
-        spec.base.seed = args.u64("seed", 1);
-        spec.base.lr = args.num("lr", spec.base.lr);
+        spec.base = api::network_spec_from(args);
         spec.shards = args.u32("shards", 1);
-        (void)args.str("name", "");  // accepted for symmetry, unused
         args.require_all_consumed("sharded_network");
         return std::make_unique<ShardedNetworkWorkload>(std::move(spec));
       });

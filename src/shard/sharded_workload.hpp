@@ -1,12 +1,13 @@
 /// \file sharded_workload.hpp
 /// \brief api::Workload adapter over the sharded training-step executor.
 ///
-/// The sharded counterpart of api::NetworkTrainingWorkload: identical spec,
-/// identical input generation (weights then the batch from one seed stream),
-/// identical z_hash folding (output, then every per-layer dW) -- plus a
-/// shard count. A sharded run's z_hash therefore equals the plain network
-/// workload's z_hash for the same base spec, which is the bit-exactness
-/// oracle every test and bench gates on.
+/// The sharded counterpart of api::NetworkTrainingWorkload. It parses the
+/// shared keys with api::network_spec_from (plus a shard count; input_seed
+/// and warm are not part of this kind's grammar), draws its inputs with
+/// api::draw_network_inputs and folds its z_hash with
+/// api::hash_training_step. A sharded run's z_hash therefore equals the
+/// plain network workload's z_hash for the same base spec, which is the
+/// bit-exactness oracle every test and bench gates on.
 ///
 /// The kind self-registers into api::WorkloadRegistry::global() from this
 /// TU's static initializer (the library is an OBJECT library so the linker

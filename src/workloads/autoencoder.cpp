@@ -1,12 +1,8 @@
 #include "workloads/autoencoder.hpp"
 
-#include <cmath>
-
-#include "core/golden.hpp"
+#include <algorithm>
 
 namespace redmule::workloads {
-
-using fp16::Float16;
 
 std::vector<uint32_t> AutoencoderConfig::dims() const {
   std::vector<uint32_t> d;
@@ -80,90 +76,6 @@ size_t autoencoder_activation_bytes(const AutoencoderConfig& cfg) {
     widest = std::max(widest, dim);
   }
   return (acts + 2ull * widest * cfg.batch) * sizeof(uint16_t);
-}
-
-namespace {
-MatrixF16 relu(const MatrixF16& m) {
-  MatrixF16 out(m.rows(), m.cols());
-  const Float16 zero;
-  for (size_t r = 0; r < m.rows(); ++r)
-    for (size_t c = 0; c < m.cols(); ++c)
-      out(r, c) = Float16::lt(m(r, c), zero) ? zero : m(r, c);
-  return out;
-}
-}  // namespace
-
-Autoencoder::Autoencoder(const AutoencoderConfig& cfg, Xoshiro256& rng) : cfg_(cfg) {
-  const auto d = cfg.dims();
-  for (size_t l = 0; l + 1 < d.size(); ++l) {
-    // He-style init scaled for FP16 range.
-    const double scale = std::sqrt(2.0 / d[l]);
-    weights_.push_back(random_matrix(d[l + 1], d[l], rng, -scale, scale));
-  }
-}
-
-std::vector<MatrixF16> Autoencoder::forward(const MatrixF16& x) const {
-  REDMULE_REQUIRE(x.rows() == cfg_.input_dim && x.cols() == cfg_.batch,
-                  "input must be (input_dim x batch)");
-  std::vector<MatrixF16> outs;
-  MatrixF16 cur = x;
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    MatrixF16 y = core::golden_gemm(weights_[l], cur);  // (out x B)
-    outs.push_back(y);
-    if (l + 1 < weights_.size()) cur = relu(y);
-  }
-  return outs;
-}
-
-double Autoencoder::training_step(const MatrixF16& x, double learning_rate) {
-  const size_t n_layers = weights_.size();
-  // Forward, keeping post-activation inputs of every layer.
-  std::vector<MatrixF16> layer_in(n_layers);
-  std::vector<MatrixF16> pre_act(n_layers);
-  MatrixF16 cur = x;
-  for (size_t l = 0; l < n_layers; ++l) {
-    layer_in[l] = cur;
-    pre_act[l] = core::golden_gemm(weights_[l], cur);
-    if (l + 1 < n_layers) cur = relu(pre_act[l]);
-  }
-  const MatrixF16& out = pre_act.back();
-
-  // MSE loss vs. the reconstruction target (the input itself) and its
-  // gradient dY = (out - x), scale folded into the learning rate.
-  double mse = 0.0;
-  MatrixF16 dy(out.rows(), out.cols());
-  for (size_t r = 0; r < out.rows(); ++r) {
-    for (size_t c = 0; c < out.cols(); ++c) {
-      const double diff = out(r, c).to_double() - x(r, c).to_double();
-      mse += diff * diff;
-      dy(r, c) = Float16::from_double(diff);
-    }
-  }
-  mse /= static_cast<double>(out.rows() * out.cols());
-
-  // Backward: dW_l = dY * X_l^T ; dX_l = W_l^T * dY (through the ReLU mask).
-  const double lr = learning_rate / static_cast<double>(cfg_.batch);
-  for (size_t li = n_layers; li-- > 0;) {
-    const MatrixF16 dw = core::golden_gemm(dy, layer_in[li].transposed());
-    MatrixF16 dx;
-    if (li > 0) {
-      dx = core::golden_gemm(weights_[li].transposed(), dy);
-      // ReLU backward: zero where the pre-activation was negative.
-      const MatrixF16& pa = pre_act[li - 1];
-      const Float16 zero;
-      for (size_t r = 0; r < dx.rows(); ++r)
-        for (size_t c = 0; c < dx.cols(); ++c)
-          if (Float16::lt(pa(r, c), zero)) dx(r, c) = zero;
-    }
-    // SGD update in FP16 (the paper's on-device adaptation scenario).
-    MatrixF16& w = weights_[li];
-    for (size_t r = 0; r < w.rows(); ++r)
-      for (size_t c = 0; c < w.cols(); ++c)
-        w(r, c) = Float16::sub(
-            w(r, c), Float16::from_double(lr * dw(r, c).to_double()));
-    if (li > 0) dy = dx;
-  }
-  return mse;
 }
 
 }  // namespace redmule::workloads

@@ -11,17 +11,17 @@
 /// Forward (and dX) matmuls have K = B, so at B = 1 the accelerator cannot
 /// fill its H*(P+1) pipeline slots -- the effect Fig. 4c/4d quantifies.
 ///
-/// This module provides both the *shape* lowering (for cycle benchmarks) and
-/// a functional FP16 implementation with a double-precision reference (for
-/// correctness tests).
+/// This module provides the configuration, the *shape* lowering and the
+/// memory footprints (for the cycle benchmarks). The functional model -- He
+/// initialisation, forward pass and FP16 training step -- is
+/// NetworkGraph::autoencoder plus the reference executor in
+/// workloads/network.hpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/matrix.hpp"
-#include "common/rng.hpp"
 #include "workloads/gemm.hpp"
 
 namespace redmule::workloads {
@@ -54,29 +54,5 @@ std::vector<AeGemm> autoencoder_forward_gemms(const AutoencoderConfig& cfg);
 /// Memory footprints (paper: B = 16 fits in 184 kB of L2 for activations).
 size_t autoencoder_weight_bytes(const AutoencoderConfig& cfg);
 size_t autoencoder_activation_bytes(const AutoencoderConfig& cfg);
-
-/// Functional FP16 autoencoder (weights + fused training-step math) used by
-/// the correctness tests and the examples.
-class Autoencoder {
- public:
-  Autoencoder(const AutoencoderConfig& cfg, Xoshiro256& rng);
-
-  const AutoencoderConfig& config() const { return cfg_; }
-  const MatrixF16& weight(size_t layer) const { return weights_.at(layer); }
-  MatrixF16& weight(size_t layer) { return weights_.at(layer); }
-
-  /// Forward pass: returns per-layer pre-activation outputs; \p x is
-  /// (input_dim x B). ReLU is applied between layers (not after the last).
-  std::vector<MatrixF16> forward(const MatrixF16& x) const;
-
-  /// One SGD training step against the reconstruction target (= input):
-  /// runs forward, backpropagates the MSE gradient, updates weights.
-  /// Returns the mean squared reconstruction error before the update.
-  double training_step(const MatrixF16& x, double learning_rate);
-
- private:
-  AutoencoderConfig cfg_;
-  std::vector<MatrixF16> weights_;  ///< weights_[l] is (out_l x in_l)
-};
 
 }  // namespace redmule::workloads

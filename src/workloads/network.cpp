@@ -1,5 +1,7 @@
 #include "workloads/network.hpp"
 
+#include <cmath>
+
 #include "core/golden.hpp"
 
 namespace redmule::workloads {
@@ -103,12 +105,13 @@ uint64_t NetworkGraph::training_macs(uint32_t batch) const {
 
 NetworkGraph NetworkGraph::autoencoder(const AutoencoderConfig& cfg,
                                        Xoshiro256& rng) {
-  // Reuse the Autoencoder's weight initialization verbatim so the two models
-  // correspond layer-for-layer for the same (config, rng state).
-  Autoencoder ae(cfg, rng);
+  const auto d = cfg.dims();
   NetworkGraph net;
-  for (size_t l = 0; l < cfg.n_layers(); ++l)
-    net.add_linear(ae.weight(l), /*relu=*/l + 1 < cfg.n_layers());
+  for (size_t l = 0; l < cfg.n_layers(); ++l) {
+    const double scale = std::sqrt(2.0 / d[l]);
+    net.add_linear(random_matrix(d[l + 1], d[l], rng, -scale, scale),
+                   /*relu=*/l + 1 < cfg.n_layers());
+  }
   return net;
 }
 

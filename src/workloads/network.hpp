@@ -36,7 +36,7 @@
 ///     region; per layer, dW_l = dY * A_l^T (reduction over Bp) and
 ///     dX_l = Wp_l^T * dY (reduction over outp), dX masked to +0 where the
 ///     *pre-activation* was < 0; optional SGD update
-///     w := fp16_sub(w, fp16(lr/B * dw)), exactly the Autoencoder rule.
+///     w := fp16_sub(w, fp16(lr/B * dw)), the rule apply_sgd_update applies.
 ///
 /// Elementwise FP16 rules and their double-precision golden mirrors are
 /// defined below; both are exact: FP16 add/sub of two FP16 values is a
@@ -127,8 +127,10 @@ class NetworkGraph {
   uint64_t training_macs(uint32_t batch) const;
 
   /// The TinyMLPerf autoencoder as a NetworkGraph: ReLU between layers (not
-  /// after the last), no bias, weights drawn exactly like
-  /// workloads::Autoencoder so the two models correspond layer-for-layer.
+  /// after the last), no bias. Layer l's (d[l+1] x d[l]) weights are drawn
+  /// from \p rng in layer order, uniform in +-sqrt(2 / d[l]) (He-style,
+  /// scaled for FP16 range). reference_forward / reference_training_step
+  /// over this graph are the functional model of the paper's use case.
   static NetworkGraph autoencoder(const AutoencoderConfig& cfg, Xoshiro256& rng);
 
  private:
@@ -170,7 +172,8 @@ NetworkTrainingRef reference_training_step(NetworkGraph& net, const MatrixF16& x
                                            const core::Geometry& g,
                                            GemmFn gemm = {});
 
-/// The SGD update rule shared by every executor (the Autoencoder rule):
+/// The SGD update rule shared by every executor (reference_training_step,
+/// the cluster and shard executors):
 /// w := fp16_sub(w, fp16((lr / batch) * dw)), elementwise.
 void apply_sgd_update(MatrixF16& w, const MatrixF16& dw, double lr,
                       uint32_t batch);

@@ -430,43 +430,6 @@ TEST(ApiWarmStart, WarmJobsMatchColdOracleAndCountForks) {
   EXPECT_LE(st.timing_cache_bytes, cluster::TimingCache::kBudgetBytes);
 }
 
-TEST(ApiWarmStart, SubmitOptionsOverrideTheSpecFlag) {
-  const uint64_t seed = split_seed(77, 1);
-  auto oracle_w = WorkloadRegistry::global().create(network_spec(seed, false));
-  const WorkloadResult oracle = Service::run_one(*oracle_w, small_base());
-  ASSERT_TRUE(oracle.ok());
-
-  ServiceConfig cfg;
-  cfg.n_threads = 1;
-  cfg.reuse_clusters = true;
-  cfg.base = small_base();
-  Service service(cfg);
-
-  // warm_start=true forces the template path on a cold spec...
-  SubmitOptions force_on;
-  force_on.warm_start = true;
-  const WorkloadResult forced = service
-      .submit(WorkloadRegistry::global().create(network_spec(seed, false)),
-              force_on)
-      .get();
-  ASSERT_TRUE(forced.ok());
-  EXPECT_EQ(outcome_of(forced), outcome_of(oracle));
-  EXPECT_EQ(service.stats().template_misses, 1u);
-
-  // ...and warm_start=false forces a warm spec back onto the cold path.
-  SubmitOptions force_off;
-  force_off.warm_start = false;
-  const WorkloadResult cold = service
-      .submit(WorkloadRegistry::global().create(network_spec(seed, true)),
-              force_off)
-      .get();
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(outcome_of(cold), outcome_of(oracle));
-  const api::ServiceStats st = service.stats();
-  EXPECT_EQ(st.template_misses, 1u) << "cold-forced job must not touch the cache";
-  EXPECT_EQ(st.template_forks, 0u);
-}
-
 TEST(ApiWarmStart, InputSeedVariantsShareOneTemplate) {
   // Jobs that differ only in input data (input_seed) share the staged-weights
   // image: one miss, then forks -- and each job still matches its own cold
@@ -503,17 +466,14 @@ TEST(ApiWarmStart, InputSeedVariantsShareOneTemplate) {
 }
 
 TEST(ApiWarmStart, GemmWorkloadsHaveNoTemplateAndStayCold) {
-  // Workloads without a template_key must run the legacy path even when
-  // warm_start is forced on -- no crash, no cache traffic.
+  // Workloads without a template_key run the cold path: no crash, no
+  // template-cache traffic.
   ServiceConfig cfg;
   cfg.n_threads = 1;
   cfg.reuse_clusters = true;
   Service service(cfg);
-  SubmitOptions opts;
-  opts.warm_start = true;
   const WorkloadResult r = service
-      .submit(WorkloadRegistry::global().create("gemm:m=16,n=16,k=16,seed=6"),
-              opts)
+      .submit(WorkloadRegistry::global().create("gemm:m=16,n=16,k=16,seed=6"))
       .get();
   ASSERT_TRUE(r.ok());
   const api::ServiceStats st = service.stats();

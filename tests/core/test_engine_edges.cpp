@@ -172,8 +172,7 @@ TEST(EngineEdges, BatchOneTrainingStepIsPinned) {
   cluster::NetworkRunner runner(cl, drv);
   const auto r = runner.training_step(net, x, x, 0.01);
 
-  uint64_t h = api::hash_matrix(r.out);
-  for (const MatrixF16& dw : r.dw) h = api::hash_fold(h, dw);
+  const uint64_t h = api::hash_training_step(r.out, r.dw);
   uint64_t fma_ops = 0;
   for (const cluster::NetworkGemmStats& gs : r.stats.gemms) fma_ops += gs.tiled.fma_ops;
   using Phase = workloads::AeGemm::Phase;

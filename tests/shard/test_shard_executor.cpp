@@ -237,8 +237,7 @@ TEST(ShardExecutorTest, RepeatedRunsReusePooledClustersBitExactly) {
     ShardCase s = make_setup(ae, 55);
     cluster::Cluster reduce(s.cfg);
     const auto r = exec.run(reduce, s.net, s.x, s.x, 0.01, 3);
-    uint64_t h = api::hash_matrix(r.out);
-    for (const MatrixF16& dw : r.dw) h = api::hash_fold(h, dw);
+    const uint64_t h = api::hash_training_step(r.out, r.dw);
     if (rep == 0)
       first_hash = h;
     else
@@ -360,4 +359,22 @@ TEST(ShardedWorkload, BadSpecsAreTypedErrors) {
   auto w = api::WorkloadRegistry::global().create(
       "sharded_network:in=24,hidden=12-6-12,batch=0,shards=2");
   EXPECT_EQ(w->validate().code, api::ErrorCode::kBadConfig);
+
+  // Both kinds parse their shared keys with one parser; each kind's own keys
+  // stay its own: network's input_seed and warm are refused here, with a
+  // typed kBadConfig, while network itself still accepts them.
+  for (const char* key : {"input_seed=3", "warm=1"}) {
+    try {
+      (void)api::WorkloadRegistry::global().create(
+          std::string("sharded_network:batch=4,shards=2,") + key);
+      ADD_FAILURE() << "sharded_network accepted " << key;
+    } catch (const api::TypedError& e) {
+      EXPECT_EQ(e.code(), api::ErrorCode::kBadConfig) << key;
+    }
+    EXPECT_NO_THROW((void)api::WorkloadRegistry::global().create(
+        std::string("network:batch=4,") + key))
+        << key;
+  }
+  EXPECT_THROW(api::WorkloadRegistry::global().create("network:batch=4,shards=2"),
+               api::TypedError);
 }

@@ -240,16 +240,13 @@ TrainingOutcome run_training_step(bool shipping, uint32_t batch) {
   fp16::set_fast_fma_enabled(shipping);
 
   cluster::RedmuleDriver drv(cl);
-  Xoshiro256 rng(spec.seed);
-  workloads::NetworkGraph net = workloads::NetworkGraph::autoencoder(spec.net, rng);
-  const auto x = workloads::random_matrix(net.input_dim(), batch, rng);
+  api::NetworkInputs in = api::draw_network_inputs(spec);
   cluster::NetworkRunner runner(cl, drv);
-  auto r = runner.training_step(net, x, x, spec.lr);
+  auto r = runner.training_step(in.net, in.x, in.x, spec.lr);
   fp16::set_fast_fma_enabled(true);
 
   TrainingOutcome out;
-  out.z_hash = api::hash_matrix(r.out);
-  for (const workloads::MatrixF16& dw : r.dw) out.z_hash = api::hash_fold(out.z_hash, dw);
+  out.z_hash = api::hash_training_step(r.out, r.dw);
   out.sim_cycles = cl.cycle();
   out.stats = std::move(r.stats);
   return out;

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/golden.hpp"
+#include "workloads/network.hpp"
 
 namespace redmule::workloads {
 namespace {
@@ -79,16 +79,16 @@ TEST(Autoencoder, ForwardIsFinite) {
   AutoencoderConfig cfg;
   cfg.batch = 2;
   Xoshiro256 rng(1);
-  Autoencoder ae(cfg, rng);
+  const NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
   const auto x = random_matrix(cfg.input_dim, cfg.batch, rng, -0.5, 0.5);
-  const auto outs = ae.forward(x);
-  ASSERT_EQ(outs.size(), cfg.n_layers());
-  for (const auto& o : outs)
+  const auto ref = reference_forward(net, x, core::Geometry{});
+  ASSERT_EQ(ref.pre.size(), cfg.n_layers());
+  for (const auto& o : ref.pre)
     for (size_t r = 0; r < o.rows(); ++r)
       for (size_t c = 0; c < o.cols(); ++c)
         EXPECT_TRUE(o(r, c).is_finite());
-  EXPECT_EQ(outs.back().rows(), 640u);
-  EXPECT_EQ(outs.back().cols(), 2u);
+  EXPECT_EQ(ref.out.rows(), 640u);
+  EXPECT_EQ(ref.out.cols(), 2u);
 }
 
 TEST(Autoencoder, ForwardMatchesDoubleReferenceLoosely) {
@@ -99,13 +99,13 @@ TEST(Autoencoder, ForwardMatchesDoubleReferenceLoosely) {
   cfg.hidden = {32, 8, 32};
   cfg.batch = 1;
   Xoshiro256 rng(2);
-  Autoencoder ae(cfg, rng);
+  const NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
   const auto x = random_matrix(64, 1, rng, -0.5, 0.5);
 
   // Double reference.
   std::vector<Matrix<double>> w64;
   for (size_t l = 0; l < cfg.n_layers(); ++l) {
-    const auto& w = ae.weight(l);
+    const auto& w = net.layer(l).weight;
     Matrix<double> wd(w.rows(), w.cols());
     for (size_t r = 0; r < w.rows(); ++r)
       for (size_t c = 0; c < w.cols(); ++c) wd(r, c) = w(r, c).to_double();
@@ -122,9 +122,9 @@ TEST(Autoencoder, ForwardMatchesDoubleReferenceLoosely) {
     cur = std::move(next);
   }
 
-  const auto outs = ae.forward(x);
+  const auto ref = reference_forward(net, x, core::Geometry{});
   for (size_t i = 0; i < 64; ++i) {
-    EXPECT_NEAR(outs.back()(i, 0).to_double(), cur[i],
+    EXPECT_NEAR(ref.out(i, 0).to_double(), cur[i],
                 std::max(0.05, std::abs(cur[i]) * 0.05));
   }
 }
@@ -137,14 +137,17 @@ TEST(Autoencoder, TrainingReducesReconstructionError) {
   cfg.hidden = {16, 8, 16};
   cfg.batch = 4;
   Xoshiro256 rng(3);
-  Autoencoder ae(cfg, rng);
+  NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
   MatrixF16 x(32, 4);
   for (int i = 0; i < 32; ++i)
     for (int b = 0; b < 4; ++b)
       x(i, b) = fp16::Float16::from_double(0.5 * std::sin(0.2 * i + b));
-  const double first = ae.training_step(x, 0.1);
+  const auto step = [&] {
+    return reference_training_step(net, x, x, 0.1, core::Geometry{}).mse;
+  };
+  const double first = step();
   double last = first;
-  for (int i = 0; i < 200; ++i) last = ae.training_step(x, 0.1);
+  for (int i = 0; i < 200; ++i) last = step();
   EXPECT_LT(last, first * 0.1);
 }
 
