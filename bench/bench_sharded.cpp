@@ -1,6 +1,6 @@
 /// Sharded multi-cluster training-step benchmark (shard/sharding.hpp): ONE
 /// TinyMLPerf-autoencoder training step split data-parallel over the batch
-/// across K pooled clusters, swept over K, and gated on **bit-exactness**
+/// across K modeled clusters, swept over K, and gated on **bit-exactness**
 /// against the single-cluster oracle at every point.
 ///
 /// Reported per K: the cost-model makespan (per-shard measured cycles +
@@ -135,12 +135,9 @@ int main(int argc, char** argv) {
 
   for (const uint32_t k : shard_counts) {
     Setup s = make_setup(cfg, kSeed);
-    cluster::Cluster reduce(s.cfg);
-    shard::ShardExecutor::Options opts;
-    opts.n_workers = k;
-    shard::ShardExecutor exec(opts);
+    cluster::Cluster cl(s.cfg);
     const shard::ShardedTrainingResult r =
-        exec.run(reduce, s.net, s.x, s.x, kLr, k);
+        shard::run_sharded_step(cl, s.net, s.x, s.x, kLr, k);
 
     // --- Exactness gate vs the oracle --------------------------------------
     bool exact = bit_equal(oracle_res.out, r.out) &&

@@ -1,7 +1,5 @@
 #include "api/pool.hpp"
 
-#include <algorithm>
-
 namespace redmule::api {
 
 std::shared_ptr<const state::ClusterImage> TemplateCache::find(
@@ -25,26 +23,25 @@ size_t TemplateCache::size() const {
 
 ClusterPool::Acquired ClusterPool::acquire(const cluster::ClusterConfig& cfg) {
   ++jobs_run_;
-  const uint64_t key = pool_key(cfg);
-  for (Entry& cand : pool_)
-    if (cand.key == key) {
+  for (const std::unique_ptr<cluster::Cluster>& cand : pool_)
+    if (cand->config() == cfg) {
       // Unconditional reset before (not after) each job: this also recovers
       // the instance from a previous job that timed out or threw mid-run.
-      cand.cl->reset();
-      return {cand.cl.get(), false};
+      cand->reset();
+      return {cand.get(), false};
     }
-  pool_.push_back(Entry{key, std::make_unique<cluster::Cluster>(cfg)});
-  pool_.back().cl->set_timing_cache(timing_cache_.get());
-  return {pool_.back().cl.get(), true};
+  pool_.push_back(std::make_unique<cluster::Cluster>(cfg));
+  pool_.back()->set_timing_cache(timing_cache_.get());
+  return {pool_.back().get(), true};
 }
 
 ClusterPool::Acquired ClusterPool::acquire_template(
     const cluster::ClusterConfig& cfg, const std::string& key,
     const StageFn& stage) {
   Acquired acq = acquire(cfg);
-  // Fold the resolved config into the cache key: equal caller keys on
-  // differently-sized clusters stage different bit patterns (layouts depend
-  // on the config) and must never share an image.
+  // Fold the whole resolved config into the cache key: equal caller keys on
+  // configs that differ anywhere stage different bits (layouts and timing
+  // depend on the config) and must never share an image.
   const std::string full_key = key + "#cfg" + std::to_string(pool_key(cfg));
   if (std::shared_ptr<const state::ClusterImage> img =
           templates_->find(full_key)) {
@@ -67,56 +64,6 @@ ClusterPool::Acquired ClusterPool::acquire_template(
   REDMULE_REQUIRE(state::snapshot(*acq.cl).fingerprint == img->fingerprint,
                   "template restore did not reproduce its snapshot");
   return acq;
-}
-
-PoolWorkers::PoolWorkers(unsigned n_threads) {
-  n_threads_ = n_threads != 0
-                   ? n_threads
-                   : std::max(1u, std::thread::hardware_concurrency());
-  pools_.resize(n_threads_);
-  for (ClusterPool& p : pools_) p.set_template_cache(&templates_);
-  threads_.reserve(n_threads_);
-  for (unsigned i = 0; i < n_threads_; ++i)
-    threads_.emplace_back([this, i] { loop(i); });
-}
-
-PoolWorkers::~PoolWorkers() {
-  {
-    std::lock_guard<std::mutex> l(m_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void PoolWorkers::post(Task task) {
-  {
-    std::lock_guard<std::mutex> l(m_);
-    tasks_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void PoolWorkers::loop(unsigned idx) {
-  ClusterPool& pool = pools_[idx];
-  std::unique_lock<std::mutex> l(m_);
-  for (;;) {
-    cv_.wait(l, [&] { return stop_ || !tasks_.empty(); });
-    if (tasks_.empty()) {
-      if (stop_) return;  // drained: every posted task has run
-      continue;
-    }
-    Task task = std::move(tasks_.front());
-    tasks_.pop_front();
-    l.unlock();
-    try {
-      task(pool);
-    } catch (...) {
-      // Tasks own their error handling (the posting layer captures failures
-      // into its own completion state); nothing may kill the worker.
-    }
-    l.lock();
-  }
 }
 
 }  // namespace redmule::api

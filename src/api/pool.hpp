@@ -1,21 +1,15 @@
 /// \file pool.hpp
-/// \brief The pooled-cluster execution engine extracted from api::Service.
-///
-/// Two pieces, usable together or separately:
+/// \brief Pooled-cluster provisioning: the reusable clusters and template
+///        images behind every api::Service worker.
 ///
 ///  - api::ClusterPool: a single-threaded pool of reusable cluster instances
-///    keyed by the *resolved* cluster config (api::pool_key). acquire() finds
-///    an instance with the same key and re-initializes it in place with
-///    Cluster::reset() -- the reset-equals-constructed contract -- or
-///    constructs one when no key matches. Construction is the expensive path
-///    (the whole module hierarchy); reset is the cheap one, and the two are
-///    observationally identical, which is what makes pooling invisible to
-///    results.
-///  - api::PoolWorkers: a fixed set of worker threads, each owning a private
-///    ClusterPool, draining one shared FIFO of tasks. A task receives its
-///    worker's pool by reference and acquires whatever cluster configs it
-///    needs; pools are never shared across threads, so no cluster is ever
-///    touched by two threads (no locking on the simulation hot path).
+///    keyed by the *resolved* cluster config (every ClusterConfig field,
+///    compared with its defaulted ==). acquire() finds an instance with an
+///    equal config and re-initializes it in place with Cluster::reset() --
+///    the reset-equals-constructed contract -- or constructs one when none
+///    matches. Construction is the expensive path (the whole module
+///    hierarchy); reset is the cheap one, and the two are observationally
+///    identical, which is what makes pooling invisible to results.
 ///  - api::TemplateCache + ClusterPool::acquire_template(): snapshot/fork
 ///    provisioning. The first job of a template key stages its job-invariant
 ///    state (e.g. a training step's weights) on a reset cluster, snapshots it
@@ -34,28 +28,18 @@
 ///    Clusters outside a pool never get one: Service::run_one and every
 ///    directly built cluster always run the cycle model.
 ///
-/// api::Service fronts this engine with admission control, a priority queue,
-/// deadlines, cancellation and retry; shard::ShardExecutor drives it directly
-/// to run the phase-1 slices of one sharded workload in parallel. Both get
-/// the same pooling semantics from the same code, so the
-/// reset-equals-constructed guarantee cannot drift between the two fronts.
-///
-/// Destruction contract: ~PoolWorkers() runs every task already posted (a
-/// posted task is never silently dropped), then joins. Callers that need a
-/// barrier short of destruction synchronize inside their tasks (the service
-/// tracks its own queue/active counters; the shard executor joins on
-/// per-shard completion slots).
+/// api::Service owns one pool per worker thread and one TemplateCache shared
+/// by them, and fronts them with admission control, a priority queue,
+/// deadlines, cancellation and retry. A pool is never touched by two threads,
+/// so there is no locking on the simulation hot path.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/workload.hpp"
@@ -70,7 +54,7 @@ namespace redmule::api {
 /// resolved cluster config. Images are immutable once inserted; lookups hand
 /// out shared_ptr<const> references that stay valid for the caller's
 /// lifetime regardless of later insertions. One cache is shared by all of a
-/// PoolWorkers' thread-private pools -- the cache mutex covers only the map,
+/// Service's thread-private pools -- the cache mutex covers only the map,
 /// never any cluster.
 class TemplateCache {
  public:
@@ -88,7 +72,7 @@ class TemplateCache {
 };
 
 /// Worker-private pool of reusable cluster instances (single-threaded access
-/// by design: each PoolWorkers thread owns exactly one, and standalone users
+/// by design: each Service worker owns exactly one, and standalone users
 /// must not share one across threads).
 class ClusterPool {
  public:
@@ -108,8 +92,8 @@ class ClusterPool {
     bool forked = false;
   };
 
-  /// Returns a cluster whose config resolves to the same pool_key as \p cfg,
-  /// in the reset-fresh state: an existing instance is reset() first -- which
+  /// Returns a cluster whose config equals \p cfg (every field), in the
+  /// reset-fresh state: an existing instance is reset() first -- which
   /// also recovers it from a previous job that threw mid-run -- and a missing
   /// one is constructed. The pointer stays valid until the pool is destroyed.
   Acquired acquire(const cluster::ClusterConfig& cfg);
@@ -131,7 +115,7 @@ class ClusterPool {
   Acquired acquire_template(const cluster::ClusterConfig& cfg,
                             const std::string& key, const StageFn& stage);
 
-  /// Shares a template cache (e.g. across a PoolWorkers' pools); nullptr
+  /// Shares a template cache (e.g. across a Service's pools); nullptr
   /// reverts to the pool-local cache. Must not race acquire_template().
   void set_template_cache(TemplateCache* cache) {
     templates_ = cache != nullptr ? cache : local_templates_.get();
@@ -150,14 +134,10 @@ class ClusterPool {
   const cluster::TimingCache& timing_cache() const { return *timing_cache_; }
 
  private:
-  struct Entry {
-    uint64_t key = 0;
-    std::unique_ptr<cluster::Cluster> cl;
-  };
   /// Behind a pointer so the pool stays movable while its clusters hold the
   /// cache's address; declared first so it outlives them.
   std::unique_ptr<cluster::TimingCache> timing_cache_;
-  std::vector<Entry> pool_;
+  std::vector<std::unique_ptr<cluster::Cluster>> pool_;
   uint64_t jobs_run_ = 0;
   uint64_t template_forks_ = 0;
   uint64_t template_misses_ = 0;
@@ -165,45 +145,6 @@ class ClusterPool {
   /// holds a mutex); templates_ tracks whichever cache is in effect.
   std::unique_ptr<TemplateCache> local_templates_;
   TemplateCache* templates_ = nullptr;
-};
-
-/// Fixed worker threads, each with a private ClusterPool, draining a shared
-/// FIFO of tasks. The scheduling layer above decides *what* runs (priorities,
-/// admission, shard order); this layer only guarantees that every posted task
-/// runs exactly once, on some worker, with that worker's pool.
-class PoolWorkers {
- public:
-  using Task = std::function<void(ClusterPool&)>;
-
-  /// \p n_threads workers (0 = hardware_concurrency).
-  explicit PoolWorkers(unsigned n_threads);
-  /// Drains every already-posted task, then joins the workers.
-  ~PoolWorkers();
-  PoolWorkers(const PoolWorkers&) = delete;
-  PoolWorkers& operator=(const PoolWorkers&) = delete;
-
-  /// Enqueues \p task; it runs exactly once. Tasks own their error handling:
-  /// an exception escaping a task is swallowed (the worker must survive), so
-  /// anything the caller needs to observe must be captured into the task's
-  /// own completion state.
-  void post(Task task);
-
-  unsigned n_threads() const { return n_threads_; }
-
- private:
-  void loop(unsigned idx);
-
-  unsigned n_threads_ = 1;
-  /// Shared template-image store; every worker pool forks from it. Declared
-  /// before pools_ so it outlives them during destruction.
-  TemplateCache templates_;
-  std::vector<ClusterPool> pools_;  ///< one per worker, thread-private
-  std::vector<std::thread> threads_;
-
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::deque<Task> tasks_;
-  bool stop_ = false;
 };
 
 }  // namespace redmule::api

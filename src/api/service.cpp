@@ -42,15 +42,22 @@ WorkloadResult guarded(Fn&& fn) {
     // Everything untyped -- including sim::InjectedFault -- is the transient
     // EngineFault class (the one the retry policy may re-run).
     return fail(ErrorCode::kEngineFault, e.what());
+  } catch (...) {
+    // Nothing may escape a worker thread's entry function.
+    return fail(ErrorCode::kEngineFault, "non-standard exception");
   }
 }
 
 }  // namespace
 
-Service::Service(ServiceConfig cfg)
-    : cfg_(std::move(cfg)),
-      engine_(std::make_unique<PoolWorkers>(cfg_.n_threads)) {
-  n_threads_ = engine_->n_threads();
+Service::Service(ServiceConfig cfg) : cfg_(std::move(cfg)) {
+  pools_.resize(cfg_.n_threads != 0
+                    ? cfg_.n_threads
+                    : std::max(1u, std::thread::hardware_concurrency()));
+  for (ClusterPool& p : pools_) p.set_template_cache(&templates_);
+  workers_.reserve(pools_.size());
+  for (ClusterPool& p : pools_)
+    workers_.emplace_back([this, &p] { worker_loop(p); });
 }
 
 Service::~Service() {
@@ -61,11 +68,11 @@ Service::~Service() {
     queue_.clear();
     queue_index_.clear();
     stats_.cancelled += orphans.size();
+    stop_ = true;
   }
-  // Tear down the engine: already-posted tokens drain (the ones whose jobs
-  // were just orphaned find an empty queue and no-op), in-flight jobs
-  // finish, workers join.
-  engine_.reset();
+  // In-flight jobs finish; idle workers see stop_ and exit.
+  cv_work_.notify_all();
+  for (std::thread& t : workers_) t.join();
   // Fulfill the orphaned futures only after the workers are gone, so a
   // not-yet-started job can never be both cancelled and executed. Futures
   // only: on_complete is a worker-thread contract and these never ran.
@@ -178,7 +185,7 @@ JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts
     victim.promise.set_value(
         fail(ErrorCode::kCancelled,
              "shed by a higher-priority submission (queue full)"));
-  engine_->post([this](ClusterPool& pool) { run_next(pool); });
+  cv_work_.notify_one();
   return handle;
 }
 
@@ -265,16 +272,25 @@ ServiceStats Service::stats() const {
   return stats_;
 }
 
-void Service::run_next(ClusterPool& pool) {
+void Service::worker_loop(ClusterPool& pool) {
   std::unique_lock<std::mutex> l(m_);
-  if (queue_.empty()) return;  // the token's job was cancelled or shed
-  auto node = queue_.extract(queue_.begin());
-  Pending job = std::move(node.mapped());
-  queue_index_.erase(job.id);
-  running_.emplace(job.id, RunningJob{job.cancel, job.group});
-  ++active_;
-  l.unlock();
+  for (;;) {
+    cv_work_.wait(l, [&] { return stop_ || !queue_.empty(); });
+    if (stop_) return;  // ~Service already orphaned every queued job
+    auto node = queue_.extract(queue_.begin());
+    Pending job = std::move(node.mapped());
+    queue_index_.erase(job.id);
+    running_.emplace(job.id, RunningJob{job.cancel, job.group});
+    ++active_;
+    l.unlock();
+    run_job(pool, job);
+    l.lock();
+    --active_;
+    if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
+  }
+}
 
+void Service::run_job(ClusterPool& pool, Pending& job) {
   PoolCounters counters;
   const cluster::TimingCache::Counters tc0 = pool.timing_cache().counters();
   unsigned attempt = 0;
@@ -304,7 +320,7 @@ void Service::run_next(ClusterPool& pool) {
   // just observed its result reads consistent aggregate counters. The
   // running_ entry goes with them: once get() returns, cancel(id) is
   // deterministically false.
-  l.lock();
+  std::unique_lock<std::mutex> l(m_);
   ++stats_.completed;
   stats_.retries += attempt;
   if (ok) {
@@ -326,10 +342,6 @@ void Service::run_next(ClusterPool& pool) {
   l.unlock();
 
   finish(job, std::move(res));
-
-  l.lock();
-  --active_;
-  if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
 }
 
 WorkloadResult Service::execute(ClusterPool& pool, Pending& job, int32_t attempt,

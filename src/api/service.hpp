@@ -4,15 +4,15 @@
 /// api::Service is the public front door for running work on simulated
 /// clusters: callers submit() polymorphic api::Workload instances and get a
 /// JobHandle (a future) back immediately -- no blocking, no batch assembly.
-/// The execution engine underneath -- worker threads with worker-private
-/// pools of reset()-reused cluster instances -- lives in api/pool.hpp
-/// (ClusterPool + PoolWorkers) and is shared with the shard executor
-/// (shard/sharding.hpp); the service adds the scheduling front-end:
+/// The service owns the process's worker threads: each worker owns a private
+/// api::ClusterPool of reset()-reused cluster instances (api/pool.hpp), and
+/// all of them fork templates from one shared api::TemplateCache. On top of
+/// that engine the service adds the scheduling front-end:
 ///
 ///  - a shared priority queue (higher priority first, FIFO within a priority
-///    level -- the queue plays the role of the old work-stealing cursor: a
-///    worker that finishes early simply pops the next job, so long jobs
-///    never serialize behind short ones);
+///    level): idle workers wait on the service's condition variable and pop
+///    the next job themselves, so long jobs never serialize behind short
+///    ones;
 ///  - per-job admission, deadlines, cancellation, bounded retry;
 ///  - failures are values, not poison: validate()/requirements()/run()
 ///    errors are caught per job and reported as typed api::Error results;
@@ -249,7 +249,7 @@ class Service {
   /// covered; serialize externally if that matters.
   void drain();
 
-  unsigned n_threads() const { return n_threads_; }
+  unsigned n_threads() const { return static_cast<unsigned>(pools_.size()); }
   size_t queued() const;
   /// Jobs currently executing on workers (instantaneous; for health/stats
   /// surfaces alongside queued()).
@@ -283,11 +283,12 @@ class Service {
     std::promise<WorkloadResult> promise;
   };
 
-  /// One engine token: pops the highest-priority pending job (if any -- a
-  /// cancel or shed may have emptied the slot) and runs it with the worker's
-  /// pool. Exactly one token is posted per admitted job, so tokens can only
-  /// no-op when the queue shrank through another path.
-  void run_next(ClusterPool& pool);
+  /// Worker thread body: pops the highest-priority pending job whenever the
+  /// queue is non-empty and runs it with the worker's own pool, until
+  /// ~Service raises stop_.
+  void worker_loop(ClusterPool& pool);
+  /// Runs one popped job (with retries) and publishes its result.
+  void run_job(ClusterPool& pool, Pending& job);
   struct PoolCounters {
     uint64_t constructed = 0;
     uint64_t reused = 0;
@@ -300,13 +301,14 @@ class Service {
   static void finish(Pending& job, WorkloadResult res);
 
   ServiceConfig cfg_;
-  unsigned n_threads_ = 1;
-  /// The shared pooled-cluster engine (api/pool.hpp). Destroyed explicitly
-  /// in ~Service after the queue is orphaned, so every posted token drains
-  /// as a no-op and in-flight jobs finish before orphan futures resolve.
-  std::unique_ptr<PoolWorkers> engine_;
+  /// Shared template-image store; every worker pool forks from it. Declared
+  /// before pools_ so it outlives them.
+  TemplateCache templates_;
+  /// One per worker, thread-private; sized once by the constructor.
+  std::vector<ClusterPool> pools_;
 
   mutable std::mutex m_;
+  std::condition_variable cv_work_;  ///< workers: queue non-empty or stop_
   std::condition_variable cv_idle_;
   /// Priority queue with stable FIFO within a level and O(log n) cancel:
   /// keyed by {-priority, submission id}, smallest key pops first.
@@ -323,8 +325,12 @@ class Service {
   std::unordered_map<uint64_t, RunningJob> running_;
   uint64_t next_id_ = 1;
   unsigned active_ = 0;
+  bool stop_ = false;  ///< set by ~Service: workers exit once idle
 
   ServiceStats stats_;  ///< guarded by m_
+
+  /// Started last in the constructor, joined first in the destructor.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace redmule::api

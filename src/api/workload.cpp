@@ -101,14 +101,20 @@ cluster::ClusterConfig resolve_cluster_config(const cluster::ClusterConfig& base
   return cfg;
 }
 
-uint64_t pool_key(const cluster::ClusterConfig& cfg) {
-  uint64_t k = cfg.geometry.h;
-  k = k * 257 + cfg.geometry.l;
-  k = k * 257 + cfg.geometry.p;
-  k = k * 8209 + cfg.tcdm.n_banks;
-  k = k * 1048583 + cfg.tcdm.words_per_bank;
-  k = k * 16777259 + cfg.l2.size_bytes;
-  return k;
+uint64_t pool_key(const cluster::ClusterConfig& c) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint64_t v :
+       {uint64_t{c.n_cores}, uint64_t{c.periph_base}, uint64_t{c.geometry.h},
+        uint64_t{c.geometry.l}, uint64_t{c.geometry.p},
+        uint64_t{c.tcdm.base_addr}, uint64_t{c.tcdm.n_banks},
+        uint64_t{c.tcdm.words_per_bank}, uint64_t{c.l2.base_addr},
+        uint64_t{c.l2.size_bytes}, uint64_t{c.l2.bytes_per_cycle},
+        uint64_t{c.l2.access_latency}, uint64_t{c.hci_max_stall},
+        uint64_t{c.shallow_has_priority}, uint64_t{c.dma_channels}}) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 uint64_t hash_fold(uint64_t h, const workloads::MatrixF16& m) {
@@ -126,6 +132,12 @@ uint64_t hash_matrix(const workloads::MatrixF16& m) {
 
 // --- ScopedRunControl -------------------------------------------------------
 
+RunContext pin_wall_budget(RunContext ctx) {
+  if (ctx.deadline.max_wall_ms != 0 && !ctx.wall_start)
+    ctx.wall_start = std::chrono::steady_clock::now();
+  return ctx;
+}
+
 ScopedRunControl::ScopedRunControl(cluster::Cluster& cluster,
                                    const RunContext& ctx)
     : cluster_(cluster) {
@@ -139,7 +151,7 @@ ScopedRunControl::ScopedRunControl(cluster::Cluster& cluster,
     control_.set_cycle_limit(cluster.cycle() + ctx.deadline.max_sim_cycles);
   if (ctx.deadline.max_wall_ms != 0)
     control_.set_wall_deadline(
-        std::chrono::steady_clock::now() +
+        ctx.wall_start.value_or(std::chrono::steady_clock::now()) +
         std::chrono::milliseconds(ctx.deadline.max_wall_ms));
   if (ctx.fault_plan != nullptr)
     control_.arm_faults(*ctx.fault_plan, ctx.attempt);

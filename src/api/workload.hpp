@@ -44,11 +44,13 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -79,7 +81,7 @@ namespace redmule::api {
 /// geometry is taken verbatim, TCDM banks are widened to the geometry's port
 /// count, and TCDM/L2 capacities are grown (by doubling) to the declared
 /// byte floors. Workloads with equal resolved configs share pooled cluster
-/// instances (see pool_key()).
+/// instances (api::ClusterPool compares the whole config).
 struct ClusterRequirements {
   core::Geometry geometry{};
   uint64_t tcdm_bytes = 0;  ///< minimum TCDM capacity in bytes (0 = base config)
@@ -92,9 +94,11 @@ struct ClusterRequirements {
 cluster::ClusterConfig resolve_cluster_config(const cluster::ClusterConfig& base,
                                               const ClusterRequirements& reqs);
 
-/// Reuse key: hashes every config field resolve_cluster_config() can vary,
-/// so two workloads whose resolved configs collide can share one pooled
-/// (reset-between-jobs) cluster instance.
+/// FNV-1a over every ClusterConfig field, one 64-bit word each. Each step is
+/// a bijection of the running hash, so configs that differ in one field
+/// never collide. Template images are keyed by it; pools still compare
+/// whole configs, and restore() refuses any image whose config differs, so
+/// a collision can fail a fork but never mis-serve one.
 uint64_t pool_key(const cluster::ClusterConfig& cfg);
 
 /// Execution budget for one job. Both limits are optional (0 = unlimited).
@@ -103,7 +107,9 @@ uint64_t pool_key(const cluster::ClusterConfig& cfg);
 /// The wall-clock budget is a best-effort guard against host-side
 /// pathologies and is inherently non-deterministic in *whether* it fires;
 /// the simulated results of jobs that complete are unaffected either way.
-/// Exceeding either surfaces as a typed kTimeout result.
+/// Exceeding either surfaces as a typed kTimeout result. A job that runs in
+/// several armed phases (the sharded step's slices and reduction) gets the
+/// cycle budget per phase and the wall budget once for the whole job.
 struct Deadline {
   uint64_t max_sim_cycles = 0;  ///< simulated-cycle budget (0 = unlimited)
   uint64_t max_wall_ms = 0;     ///< wall-clock budget in ms (0 = unlimited)
@@ -129,7 +135,15 @@ struct RunContext {
   /// arm (FaultEvent::attempt), letting tests model transient faults that a
   /// bounded retry outlives.
   int32_t attempt = 0;
+  /// When the wall-clock budget started. Empty (the default) starts it as
+  /// each ScopedRunControl arms; a job that arms several controls in turn
+  /// pins it once (pin_wall_budget) so that they share one budget.
+  std::optional<std::chrono::steady_clock::time_point> wall_start;
 };
+
+/// \p ctx with its wall-clock budget started now, unless it has no wall
+/// budget or the budget is already started.
+RunContext pin_wall_budget(RunContext ctx);
 
 /// Outcome of one workload execution. Move-only: results hold full FP16
 /// output matrices when keep_outputs is set, and the submission pipeline

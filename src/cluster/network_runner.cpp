@@ -248,10 +248,9 @@ void stage_layers(mem::L2Memory& l2, const NetworkGraph& net,
 /// end of the latest GEMM.
 class GemmRecorder {
  public:
-  GemmRecorder(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions opts,
-               NetworkStats& stats)
-      : cl_(cl), drv_(drv), tiled_(cl, drv, TiledGemmOptions{opts.double_buffer}),
-        stats_(stats), cycle0_(cl.cycle()) {}
+  GemmRecorder(Cluster& cl, RedmuleDriver& drv, NetworkStats& stats)
+      : cl_(cl), drv_(drv), tiled_(cl, drv), stats_(stats),
+        cycle0_(cl.cycle()) {}
 
   /// Plans and runs layer \p l's \p phase GEMM over resident L2 operands,
   /// records it, then polls the run control. \p has_y is explicit because
@@ -382,7 +381,7 @@ struct TrainingRun {
 /// -- dY as its (m x Bp) X operand, the input activation whose transpose is
 /// its W operand -- are captured for a DwAccumulator. Either way the layout,
 /// and every forward/dX GEMM's addresses, plan and staged bits, are the same.
-TrainingRun run_training(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions opts,
+TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
                          const NetworkGraph& net, const MatrixF16& x,
                          const MatrixF16& target,
                          NetworkRunner::SliceBackward* capture) {
@@ -404,7 +403,7 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions o
 
   // --- Stage the per-job input; the template staged everything else --------
   write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
-  GemmRecorder gemms(cl, drv, opts, res.stats);
+  GemmRecorder gemms(cl, drv, res.stats);
   run_forward(l2, gemms, net, geoms, lay, batch);
 
   // --- MSE loss gradient: dY = fp16(out - target) on the real region -------
@@ -472,9 +471,8 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv, NetworkRunnerOptions o
 
 }  // namespace
 
-NetworkRunner::NetworkRunner(Cluster& cluster, RedmuleDriver& driver,
-                             NetworkRunnerOptions opts)
-    : cl_(cluster), drv_(driver), opts_(opts) {}
+NetworkRunner::NetworkRunner(Cluster& cluster, RedmuleDriver& driver)
+    : cl_(cluster), drv_(driver) {}
 
 NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
                                                     const MatrixF16& x) {
@@ -491,7 +489,7 @@ NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
   stage_layers(l2, net, geoms, lay, batch, /*training=*/false);
 
   ForwardResult res;
-  GemmRecorder gemms(cl_, drv_, opts_, res.stats);
+  GemmRecorder gemms(cl_, drv_, res.stats);
   const uint32_t out = run_forward(l2, gemms, net, geoms, lay, batch);
   res.out = strip_to(read_mat(l2, out, geoms.back().out_vec, bp),
                      geoms.back().out_vec, batch);
@@ -518,7 +516,7 @@ NetworkRunner::TrainingResult NetworkRunner::training_step(NetworkGraph& net,
 
 NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
     NetworkGraph& net, const MatrixF16& x, const MatrixF16& target, double lr) {
-  TrainingRun run = run_training(cl_, drv_, opts_, net, x, target, nullptr);
+  TrainingRun run = run_training(cl_, drv_, net, x, target, nullptr);
 
   // --- Read gradients back, optional SGD update on the host weights --------
   auto& l2 = cl_.l2();
@@ -538,17 +536,15 @@ NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
 NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
     const NetworkGraph& net, const MatrixF16& x, const MatrixF16& target) {
   TrainingSliceResult res;
-  TrainingRun run = run_training(cl_, drv_, opts_, net, x, target, &res.grads);
+  TrainingRun run = run_training(cl_, drv_, net, x, target, &res.grads);
   res.out = std::move(run.res.out);
   res.stats = std::move(run.res.stats);
   return res;
 }
 
 DwAccumulator::DwAccumulator(Cluster& cluster, RedmuleDriver& driver,
-                             const NetworkGraph& net, uint32_t max_padded_batch,
-                             NetworkRunnerOptions opts)
-    : cl_(cluster), drv_(driver), opts_(opts),
-      max_padded_batch_(max_padded_batch) {
+                             const NetworkGraph& net, uint32_t max_padded_batch)
+    : cl_(cluster), drv_(driver), max_padded_batch_(max_padded_batch) {
   REDMULE_REQUIRE(net.n_layers() >= 1, "empty network");
   REDMULE_REQUIRE(!net.has_conv(),
                   "gradient reduction requires a pure linear chain");
@@ -583,7 +579,7 @@ NetworkStats DwAccumulator::accumulate(
 
   auto& l2 = cl_.l2();
   NetworkStats stats;
-  GemmRecorder gemms(cl_, drv_, opts_, stats);
+  GemmRecorder gemms(cl_, drv_, stats);
 
   // Same descending-layer order as training_step's backward walk.
   for (size_t li = layers_.size(); li-- > 0;) {

@@ -22,7 +22,7 @@
 /// Results are bit-identical to workloads::reference_forward /
 /// reference_training_step for the same geometry, and to the per-layer
 /// monolithic driver path (tests/cluster/test_network_runner.cpp asserts
-/// both). Determinism: a run is a pure function of (net, inputs, options,
+/// both). Determinism: a run is a pure function of (net, inputs,
 /// cluster config) -- no wall clock, no thread dependence -- so network
 /// jobs keep the batch runner's bit-reproducibility contract.
 #pragma once
@@ -36,12 +36,6 @@
 #include "workloads/network.hpp"
 
 namespace redmule::cluster {
-
-struct NetworkRunnerOptions {
-  /// Forwarded to the per-layer tiled pipeline (false = serial reference
-  /// schedule, the overlap baseline).
-  bool double_buffer = true;
-};
 
 /// Counters of one lowered GEMM of the network execution.
 struct NetworkGemmStats {
@@ -74,8 +68,7 @@ struct NetworkStats {
 
 class NetworkRunner {
  public:
-  NetworkRunner(Cluster& cluster, RedmuleDriver& driver,
-                NetworkRunnerOptions opts = {});
+  NetworkRunner(Cluster& cluster, RedmuleDriver& driver);
 
   struct ForwardResult {
     core::MatrixF16 out;  ///< (output_dim x batch)
@@ -137,11 +130,9 @@ class NetworkRunner {
     SliceBackward grads;
     NetworkStats stats;  ///< forward + dX GEMMs executed on this cluster
   };
-  /// One batch *slice* of a training step, for the sharded executor
+  /// One batch *slice* of a training step, for the sharded step
   /// (shard/sharding.hpp), over a template staged by
-  /// stage_training_template(net, slice batch) -- directly or restored from
-  /// its snapshot, so shard workers fork the staged image once per slice
-  /// instead of re-staging every layer's weights. The same executor as
+  /// stage_training_template(net, slice batch). The same executor as
   /// training_step_staged -- same layout, same forward/dX GEMMs, plans and
   /// per-column bits -- but every dW GEMM is skipped and the operands it
   /// would have read are captured instead, for a DwAccumulator to reduce in
@@ -164,7 +155,6 @@ class NetworkRunner {
  private:
   Cluster& cl_;
   RedmuleDriver& drv_;
-  NetworkRunnerOptions opts_;
 };
 
 /// Deterministic fixed-order reduction of per-shard weight gradients on one
@@ -181,8 +171,7 @@ class DwAccumulator {
   /// Builds the resident layout (per-layer padded dW partials + staging
   /// scratch sized for \p max_padded_batch columns) on \p cluster's L2.
   DwAccumulator(Cluster& cluster, RedmuleDriver& driver,
-                const workloads::NetworkGraph& net, uint32_t max_padded_batch,
-                NetworkRunnerOptions opts = {});
+                const workloads::NetworkGraph& net, uint32_t max_padded_batch);
 
   /// Folds one slice into the resident partials. \p first starts every
   /// layer's chain as a plain GEMM; otherwise the partial accumulates in
@@ -207,7 +196,6 @@ class DwAccumulator {
  private:
   Cluster& cl_;
   RedmuleDriver& drv_;
-  NetworkRunnerOptions opts_;
   struct LayerSlot {
     uint32_t m = 0;   ///< real output rows
     uint32_t n = 0;   ///< real input cols

@@ -1,8 +1,5 @@
 #include "shard/sharded_workload.hpp"
 
-#include <algorithm>
-#include <thread>
-
 namespace redmule::shard {
 
 std::string ShardedNetworkWorkload::name() const {
@@ -22,18 +19,11 @@ api::Error ShardedNetworkWorkload::validate() const {
 
 api::WorkloadResult ShardedNetworkWorkload::run(cluster::Cluster& cluster,
                                                 api::RunContext& ctx) {
-  // The inputs and the hash are the network kind's own definitions. The
-  // given cluster is the reduce cluster; the executor pools the shard
-  // clusters per run (the service's workers each own a single-job pool, so a
-  // persistent engine would idle between jobs anyway).
+  // The inputs and the hash are the network kind's own definitions; every
+  // slice and the reduction run on the given cluster.
   api::NetworkInputs in = api::draw_network_inputs(spec_.base);
-
-  ShardExecutor::Options opts;
-  opts.n_workers = std::min(
-      spec_.shards, std::max(1u, std::thread::hardware_concurrency()));
-  ShardExecutor exec(opts);
-  ShardedTrainingResult r =
-      exec.run(cluster, in.net, in.x, in.x, spec_.base.lr, spec_.shards, ctx);
+  ShardedTrainingResult r = run_sharded_step(
+      cluster, in.net, in.x, in.x, spec_.base.lr, spec_.shards, ctx);
 
   api::WorkloadResult res;
   res.stats.cycles = r.stats.makespan_cycles;

@@ -1,5 +1,5 @@
 /// \file sharded_workload.hpp
-/// \brief api::Workload adapter over the sharded training-step executor.
+/// \brief api::Workload adapter over shard::run_sharded_step.
 ///
 /// The sharded counterpart of api::NetworkTrainingWorkload. It parses the
 /// shared keys with api::network_spec_from (plus a shard count; input_seed
@@ -40,8 +40,8 @@ class ShardedNetworkWorkload : public api::Workload {
   std::string name() const override;
   /// Identical to NetworkTrainingWorkload's for the base spec: the full
   /// training layout upper-bounds both the per-shard slice layout and the
-  /// reduction layout, and the equal resolved config means shard clusters,
-  /// reduce clusters and plain network jobs all share one pool key.
+  /// reduction layout, and the equal resolved config means sharded and
+  /// plain network jobs of one base spec share pooled clusters.
   api::ClusterRequirements requirements() const override;
   api::Error validate() const override;
   api::WorkloadResult run(cluster::Cluster& cluster,
@@ -56,7 +56,7 @@ class ShardedNetworkWorkload : public api::Workload {
 }  // namespace redmule::shard
 
 namespace redmule::workloads {
-/// The executor lives in the shard module; workloads is its natural
+/// The sharded kind lives in the shard module; workloads is its natural
 /// discovery point next to the other network workload types.
 using shard::ShardedNetworkWorkload;
 }  // namespace redmule::workloads

@@ -1,8 +1,6 @@
 #include "shard/sharding.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "cluster/driver.hpp"
 #include "common/check.hpp"
@@ -17,13 +15,8 @@ using core::MatrixF16;
 uint32_t pad_even(uint32_t v) { return v + (v & 1u); }
 
 /// Ceiling-divide a byte count by the link bandwidth into whole cycles.
-uint64_t transfer_cycles(uint64_t bytes, double bytes_per_cycle) {
-  if (bytes == 0) return 0;
-  REDMULE_REQUIRE(bytes_per_cycle > 0.0,
-                  "cost model needs positive link bandwidth");
-  const double cycles = static_cast<double>(bytes) / bytes_per_cycle;
-  const auto whole = static_cast<uint64_t>(cycles);
-  return whole + (static_cast<double>(whole) < cycles ? 1 : 0);
+uint64_t transfer_cycles(uint64_t bytes) {
+  return (bytes + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;
 }
 
 MatrixF16 col_slice(const MatrixF16& m, uint32_t begin, uint32_t count) {
@@ -58,35 +51,27 @@ std::vector<ShardSlice> plan_shards(uint32_t batch, uint32_t shards,
   return slices;
 }
 
-ShardExecutor::ShardExecutor() : ShardExecutor(Options()) {}
-
-ShardExecutor::ShardExecutor(Options opts) : opts_(std::move(opts)) {}
-
-ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
-                                         workloads::NetworkGraph& net,
-                                         const MatrixF16& x,
-                                         const MatrixF16& target, double lr,
-                                         uint32_t shards,
-                                         const api::RunContext& ctx) {
+ShardedTrainingResult run_sharded_step(cluster::Cluster& cluster,
+                                       workloads::NetworkGraph& net,
+                                       const MatrixF16& x,
+                                       const MatrixF16& target, double lr,
+                                       uint32_t shards,
+                                       const api::RunContext& ctx) {
   REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
   const uint32_t batch = static_cast<uint32_t>(x.cols());
   REDMULE_REQUIRE(target.rows() == net.output_dim() && target.cols() == batch,
                   "target shape mismatch");
   const std::vector<ShardSlice> slices =
-      plan_shards(batch, shards, reduce_cluster.config().geometry);
+      plan_shards(batch, shards, cluster.config().geometry);
   const auto n_slices = static_cast<uint32_t>(slices.size());
+
+  // Every slice and the reduction arm their own control, so the cycle
+  // budget and the fault plan restart as on separate clusters; the wall
+  // budget is the job's, counted once from here.
+  const api::RunContext run_ctx = api::pin_wall_budget(ctx);
 
   ShardedTrainingResult res;
   res.stats.shards = n_slices;
-
-  struct Slot {
-    NetworkRunner::TrainingSliceResult result;
-    std::exception_ptr error;
-  };
-  std::vector<Slot> slots(n_slices);
-  uint32_t max_sp = 0;
-  for (const ShardSlice& s : slices) max_sp = std::max(max_sp, pad_even(s.count));
-
   auto fold_gemms = [&res](const cluster::NetworkStats& stats) {
     for (const cluster::NetworkGemmStats& gs : stats.gemms) {
       res.stats.advance_cycles += gs.tiled.advance_cycles;
@@ -95,109 +80,43 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
     }
     res.stats.macs += stats.macs;
   };
+
+  // Phase 1: every slice starts from reset() with its own template staged,
+  // exactly as on a dedicated fresh cluster. The template also zeroes the dW
+  // regions a slice never touches; on a reset cluster those already read
+  // zero and zero writes do not materialize pages, so it is bit- and
+  // cycle-invisible.
+  std::vector<NetworkRunner::TrainingSliceResult> parts;
+  parts.reserve(n_slices);
+  uint32_t max_sp = 0;
+  for (const ShardSlice& s : slices) {
+    cluster.reset();
+    api::ScopedRunControl control(cluster, run_ctx);
+    cluster::RedmuleDriver drv(cluster);
+    NetworkRunner runner(cluster, drv);
+    runner.stage_training_template(net, s.count);
+    parts.push_back(runner.training_slice_staged(
+        net, col_slice(x, s.begin, s.count),
+        col_slice(target, s.begin, s.count)));
+    res.stats.shard_cycles.push_back(parts.back().stats.total_cycles);
+    fold_gemms(parts.back().stats);
+    max_sp = std::max(max_sp, pad_even(s.count));
+  }
+
   // Phase 2: fold every slice into the resident partials IN SHARD ORDER --
-  // the fixed order is what makes completion order invisible in the bits.
-  auto reduce_all = [&](cluster::RedmuleDriver& drv) {
-    cluster::DwAccumulator acc(reduce_cluster, drv, net, max_sp, opts_.runner);
+  // the fixed order is what makes the reduced bits equal the monolithic
+  // chains.
+  cluster.reset();
+  {
+    api::ScopedRunControl control(cluster, run_ctx);
+    cluster::RedmuleDriver drv(cluster);
+    cluster::DwAccumulator acc(cluster, drv, net, max_sp);
     for (uint32_t k = 0; k < n_slices; ++k) {
-      const cluster::NetworkStats rs =
-          acc.accumulate(slots[k].result.grads, k == 0);
+      const cluster::NetworkStats rs = acc.accumulate(parts[k].grads, k == 0);
       res.stats.reduce_cycles.push_back(rs.total_cycles);
       fold_gemms(rs);
     }
-    return acc.gradients();
-  };
-
-  if (n_slices == 1) {
-    // Degenerate plan: the whole step runs sequentially on the caller's
-    // cluster -- no threads, no transfers, same GEMMs as training_step.
-    api::ScopedRunControl control(reduce_cluster, ctx);
-    cluster::RedmuleDriver drv(reduce_cluster);
-    NetworkRunner runner(reduce_cluster, drv, opts_.runner);
-    // The template also zeroes the dW regions a slice never touches; on the
-    // reset cluster those regions already read zero and zero writes do not
-    // materialize pages, so the full template is bit- and cycle-invisible.
-    runner.stage_training_template(net, static_cast<uint32_t>(x.cols()));
-    slots[0].result = runner.training_slice_staged(net, x, target);
-    if (opts_.phase1_done_hook) opts_.phase1_done_hook(0);
-    res.stats.shard_cycles.push_back(slots[0].result.stats.total_cycles);
-    fold_gemms(slots[0].result.stats);
-    res.dw = reduce_all(drv);
-  } else {
-    if (!engine_) engine_ = std::make_unique<api::PoolWorkers>(opts_.n_workers);
-
-    // Phase 1: every slice is an independent task on the pooled-cluster
-    // engine. Shard clusters use the reduce cluster's exact config, so they
-    // share pool keys with it (and with service-run jobs of this workload).
-    std::vector<MatrixF16> xs, ts;
-    xs.reserve(n_slices);
-    ts.reserve(n_slices);
-    for (const ShardSlice& s : slices) {
-      xs.push_back(col_slice(x, s.begin, s.count));
-      ts.push_back(col_slice(target, s.begin, s.count));
-    }
-    const cluster::ClusterConfig cfg = reduce_cluster.config();
-    // Snapshot/fork provisioning of the slice templates: slices of equal
-    // batch share one staged-weights image, so weight staging runs once per
-    // distinct slice width instead of once per slice. The key covers
-    // everything stage_training_template writes: the network identity (dims
-    // + a hash over every weight bit -- the caller's net is arbitrary, not
-    // seed-derived) and the slice's real and padded batch, which size the
-    // whole training layout.
-    uint64_t weight_hash = 0xcbf29ce484222325ULL;
-    std::string net_tag = "shard-slice/";
-    for (size_t l = 0; l < net.n_layers(); ++l) {
-      weight_hash = api::hash_fold(weight_hash, net.layer(l).weight);
-      net_tag += std::to_string(net.layer(l).out_dim()) + "-";
-    }
-    net_tag += "w" + std::to_string(weight_hash);
-    std::mutex m;
-    std::condition_variable cv;
-    uint32_t done = 0;
-    for (uint32_t k = 0; k < n_slices; ++k) {
-      engine_->post([&, k](api::ClusterPool& pool) {
-        try {
-          const uint32_t slice_batch = slices[k].count;
-          const std::string tkey = net_tag + "/B" + std::to_string(slice_batch) +
-                                   "p" + std::to_string(pad_even(slice_batch));
-          const api::ClusterPool::Acquired acq = pool.acquire_template(
-              cfg, tkey, [&](cluster::Cluster& cl) {
-                cluster::RedmuleDriver d(cl);
-                NetworkRunner r(cl, d, opts_.runner);
-                r.stage_training_template(net, slice_batch);
-              });
-          api::ScopedRunControl control(*acq.cl, ctx);
-          cluster::RedmuleDriver drv(*acq.cl);
-          NetworkRunner runner(*acq.cl, drv, opts_.runner);
-          slots[k].result = runner.training_slice_staged(net, xs[k], ts[k]);
-          if (opts_.phase1_done_hook) opts_.phase1_done_hook(k);
-        } catch (...) {
-          slots[k].error = std::current_exception();
-        }
-        // Notify under the lock: the waiter owns cv and destroys it as soon
-        // as it sees the last slice done, so the notify must finish first.
-        std::lock_guard<std::mutex> l(m);
-        ++done;
-        cv.notify_one();
-      });
-    }
-    // Wait for EVERY task (tasks reference caller-owned state, so no early
-    // unwind), then surface the lowest-indexed failure -- a deterministic
-    // pick, independent of which shard happened to fail first in time.
-    {
-      std::unique_lock<std::mutex> l(m);
-      cv.wait(l, [&] { return done == n_slices; });
-    }
-    for (Slot& s : slots)
-      if (s.error) std::rethrow_exception(s.error);
-
-    for (const Slot& s : slots) {
-      res.stats.shard_cycles.push_back(s.result.stats.total_cycles);
-      fold_gemms(s.result.stats);
-    }
-    api::ScopedRunControl control(reduce_cluster, ctx);
-    cluster::RedmuleDriver drv(reduce_cluster);
-    res.dw = reduce_all(drv);
+    res.dw = acc.gradients();
   }
 
   // --- Assemble the full-batch output and host-side epilogue ---------------
@@ -210,7 +129,7 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
   for (uint32_t k = 0; k < n_slices; ++k)
     for (uint32_t r = 0; r < out_dim; ++r)
       for (uint32_t c = 0; c < slices[k].count; ++c)
-        res.out(r, slices[k].begin + c) = slots[k].result.out(r, c);
+        res.out(r, slices[k].begin + c) = parts[k].out(r, c);
   double mse = 0.0;
   for (uint32_t r = 0; r < out_dim; ++r)
     for (uint32_t c = 0; c < batch; ++c) {
@@ -228,37 +147,35 @@ ShardedTrainingResult ShardExecutor::run(cluster::Cluster& reduce_cluster,
   // the captured (dY, activation) operands come back; each transfer pays the
   // hop latency plus bytes/bandwidth. The reduction pipelines in fixed shard
   // order behind the arrivals. One slice means one cluster: no traffic.
-  const ShardCostModel& cost = opts_.cost;
   if (n_slices == 1) {
     res.stats.makespan_cycles =
         res.stats.shard_cycles[0] + res.stats.reduce_cycles[0];
-  } else {
-    uint64_t weight_bytes = 0, capture_row_bytes = 0;
-    for (const workloads::NetworkLayer& l : net.layers()) {
-      const auto m64 = static_cast<uint64_t>(l.out_dim());
-      const auto n64 = static_cast<uint64_t>(l.in_dim());
-      weight_bytes += (m64 * pad_even(l.in_dim()) +
-                       n64 * pad_even(l.out_dim())) * 2;
-      capture_row_bytes += (m64 + pad_even(l.in_dim())) * 2;
-    }
-    const uint64_t input_row_bytes =
-        2ull * (pad_even(net.input_dim()) + net.output_dim());
-    uint64_t reduce_free = 0;
-    for (uint32_t k = 0; k < n_slices; ++k) {
-      const uint64_t sp = pad_even(slices[k].count);
-      const uint64_t dispatch_bytes = weight_bytes + input_row_bytes * sp;
-      const uint64_t capture_bytes = capture_row_bytes * sp;
-      res.stats.interconnect_bytes += dispatch_bytes + capture_bytes;
-      const uint64_t arrive =
-          cost.hop_latency_cycles +
-          transfer_cycles(dispatch_bytes, cost.link_bytes_per_cycle) +
-          res.stats.shard_cycles[k] + cost.hop_latency_cycles +
-          transfer_cycles(capture_bytes, cost.link_bytes_per_cycle);
-      const uint64_t start = std::max(arrive, reduce_free);
-      reduce_free = start + res.stats.reduce_cycles[k];
-    }
-    res.stats.makespan_cycles = reduce_free;
+    return res;
   }
+  uint64_t weight_bytes = 0, capture_row_bytes = 0;
+  for (const workloads::NetworkLayer& l : net.layers()) {
+    const auto m64 = static_cast<uint64_t>(l.out_dim());
+    const auto n64 = static_cast<uint64_t>(l.in_dim());
+    weight_bytes += (m64 * pad_even(l.in_dim()) +
+                     n64 * pad_even(l.out_dim())) * 2;
+    capture_row_bytes += (m64 + pad_even(l.in_dim())) * 2;
+  }
+  const uint64_t input_row_bytes =
+      2ull * (pad_even(net.input_dim()) + net.output_dim());
+  uint64_t reduce_free = 0;
+  for (uint32_t k = 0; k < n_slices; ++k) {
+    const uint64_t sp = pad_even(slices[k].count);
+    const uint64_t dispatch_bytes = weight_bytes + input_row_bytes * sp;
+    const uint64_t capture_bytes = capture_row_bytes * sp;
+    res.stats.interconnect_bytes += dispatch_bytes + capture_bytes;
+    const uint64_t arrive = kHopLatencyCycles +
+                            transfer_cycles(dispatch_bytes) +
+                            res.stats.shard_cycles[k] + kHopLatencyCycles +
+                            transfer_cycles(capture_bytes);
+    const uint64_t start = std::max(arrive, reduce_free);
+    reduce_free = start + res.stats.reduce_cycles[k];
+  }
+  res.stats.makespan_cycles = reduce_free;
   return res;
 }
 

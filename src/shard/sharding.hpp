@@ -2,7 +2,7 @@
 /// \brief Sharded multi-cluster execution of one training-step workload,
 ///        gated by bit-exactness against the single-cluster run.
 ///
-/// One training step is split data-parallel over the batch across K pooled
+/// One training step is split data-parallel over the batch across K modeled
 /// clusters: shard k runs the existing NetworkRunner forward/dX pipeline on
 /// its column slice (cluster/network_runner.hpp, training_slice_staged), and
 /// the per-shard dW contributions are reduced on ONE cluster in fixed shard
@@ -24,24 +24,22 @@
 ///    read (each layer's dY and input-activation slice); the accumulator
 ///    stages them verbatim, so there is no re-padding step to get wrong.
 ///
-/// Scheduling is free: slices run on any worker, in any order, on fresh or
-/// pooled clusters -- the reduction consumes them in fixed shard order, so
-/// completion order is invisible in the bits (tests/shard and the
-/// tests/api/test_shard_soak.cpp soak prove it against the oracle).
+/// The K clusters are modeled, not instantiated: the slices run one after
+/// another in shard order on the job's own cluster, each from reset() with
+/// its slice template staged, and the reduction follows after one more
+/// reset(). Every slice therefore sees exactly the state a dedicated fresh
+/// cluster would, and its cycle count is what that cluster would measure.
 ///
 /// A simple cost model folds the inter-cluster L2 traffic this would cost on
 /// real hardware into the reported stats: each shard's gradient shipment
-/// crosses a link of ShardCostModel::link_bytes_per_cycle with a fixed hop
-/// latency, and the modeled makespan overlaps shard compute with the
-/// fixed-order reduction pipeline.
+/// crosses a link of kLinkBytesPerCycle with a fixed kHopLatencyCycles, and
+/// the modeled makespan overlaps shard compute with the fixed-order
+/// reduction pipeline.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "api/pool.hpp"
 #include "api/workload.hpp"
 #include "cluster/network_runner.hpp"
 #include "workloads/network.hpp"
@@ -66,13 +64,11 @@ std::vector<ShardSlice> plan_shards(uint32_t batch, uint32_t shards,
 /// Inter-cluster traffic model: every byte a shard exchanges with the reduce
 /// cluster crosses one link. Deliberately simple -- a bandwidth and a hop
 /// latency -- the same shape as the paper's L2-interconnect accounting.
-struct ShardCostModel {
-  double link_bytes_per_cycle = 16.0;  ///< per-link L2 interconnect bandwidth
-  uint64_t hop_latency_cycles = 64;    ///< fixed per-transfer latency
-};
+constexpr uint64_t kLinkBytesPerCycle = 16;  ///< per-link L2 bandwidth
+constexpr uint64_t kHopLatencyCycles = 64;   ///< fixed per-transfer latency
 
 /// Stats of one sharded training step. Cycle figures are *modeled* for the
-/// multi-cluster schedule (per-shard compute measured on its cluster, plus
+/// multi-cluster schedule (per-shard compute measured from reset, plus
 /// cost-model transfers, plus the measured fixed-order reduction); they are
 /// deterministic functions of the spec like every other counter here.
 struct ShardStats {
@@ -96,48 +92,22 @@ struct ShardedTrainingResult {
   ShardStats stats;
 };
 
-/// Splits one training step across pooled clusters. Phase 1 (per-shard
-/// forward + dX + capture) fans out on an api::PoolWorkers engine -- the
-/// same pooled-cluster engine api::Service fronts -- and phase 2 reduces on
-/// the caller's cluster in fixed shard order. With one slice the whole step
-/// runs sequentially on the caller's cluster, no threads involved.
-class ShardExecutor {
- public:
-  struct Options {
-    /// Phase-1 worker threads (0 = hardware concurrency). Created lazily on
-    /// the first multi-shard run and kept across runs, so repeated steps
-    /// exercise pooled-cluster reuse.
-    unsigned n_workers = 0;
-    ShardCostModel cost{};
-    cluster::NetworkRunnerOptions runner{};
-    /// Test seam: called on the worker thread when a shard's phase-1 compute
-    /// finishes, before its result is published -- lets tests force any
-    /// shard completion order and prove the bits don't care.
-    std::function<void(uint32_t shard)> phase1_done_hook;
-  };
-
-  ShardExecutor();
-  explicit ShardExecutor(Options opts);
-
-  /// One sharded training step on \p reduce_cluster + the worker pools.
-  /// Shard clusters use reduce_cluster's exact config (same pool_key, so
-  /// service-managed pools are shareable). \p net is updated with the SGD
-  /// step when \p lr is nonzero, from the *reduced* gradients over the full
-  /// batch. \p ctx robustness controls (deadline, cancel, fault plan) arm on
-  /// every cluster involved; a faulted shard surfaces as the typed error of
-  /// the lowest-indexed failing shard -- never a silently wrong reduction.
-  ShardedTrainingResult run(cluster::Cluster& reduce_cluster,
-                            workloads::NetworkGraph& net,
-                            const core::MatrixF16& x,
-                            const core::MatrixF16& target, double lr,
-                            uint32_t shards, const api::RunContext& ctx = {});
-
-  /// Threads the lazily-created engine will use (diagnostics/tests).
-  unsigned n_workers() const { return opts_.n_workers; }
-
- private:
-  Options opts_;
-  std::unique_ptr<api::PoolWorkers> engine_;
-};
+/// One sharded training step on \p cluster: slice k runs in shard order
+/// (reset, stage the slice template, forward + dX + capture), then the
+/// per-slice dW captures are reduced in the same order after one more reset.
+/// \p net is updated with the SGD step when \p lr is nonzero, from the
+/// *reduced* gradients over the full batch. \p ctx robustness controls
+/// (cycle budget, cancel, fault plan) arm afresh for every slice and for the
+/// reduction, while the wall-clock budget covers the whole step (it starts
+/// once, see api::pin_wall_budget); a faulted slice surfaces as its typed
+/// error -- the
+/// lowest-indexed failing shard, since later slices never start -- never a
+/// silently wrong reduction.
+ShardedTrainingResult run_sharded_step(cluster::Cluster& cluster,
+                                       workloads::NetworkGraph& net,
+                                       const core::MatrixF16& x,
+                                       const core::MatrixF16& target,
+                                       double lr, uint32_t shards,
+                                       const api::RunContext& ctx = {});
 
 }  // namespace redmule::shard

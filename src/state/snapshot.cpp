@@ -28,20 +28,6 @@ bool page_all_zero(const mem::L2Memory::Page& page) {
 
 }  // namespace
 
-bool config_compatible(const cluster::ClusterConfig& a,
-                       const cluster::ClusterConfig& b) {
-  return a.n_cores == b.n_cores && a.periph_base == b.periph_base &&
-         a.geometry.h == b.geometry.h && a.geometry.l == b.geometry.l &&
-         a.geometry.p == b.geometry.p && a.tcdm.base_addr == b.tcdm.base_addr &&
-         a.tcdm.n_banks == b.tcdm.n_banks &&
-         a.tcdm.words_per_bank == b.tcdm.words_per_bank &&
-         a.l2.base_addr == b.l2.base_addr &&
-         a.l2.size_bytes == b.l2.size_bytes &&
-         a.hci_max_stall == b.hci_max_stall &&
-         a.shallow_has_priority == b.shallow_has_priority &&
-         a.dma_channels == b.dma_channels;
-}
-
 ClusterImage snapshot(const cluster::Cluster& cl) {
   if (!cl.sim().quiescent())
     throw api::TypedError(
@@ -64,10 +50,10 @@ ClusterImage snapshot(const cluster::Cluster& cl) {
 }
 
 void restore(cluster::Cluster& cl, const ClusterImage& img) {
-  if (!config_compatible(cl.config(), img.config))
+  if (cl.config() != img.config)
     throw api::TypedError(
         api::ErrorCode::kBadConfig,
-        "cluster restore refused: the image was taken on an incompatible "
+        "cluster restore refused: the image was taken on a different "
         "cluster configuration");
   // Reset first: restore must work from any state, including a cluster whose
   // last job was aborted mid-flight. The per-module restore_state() calls

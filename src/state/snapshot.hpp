@@ -57,13 +57,6 @@ struct ClusterImage {
   uint64_t fingerprint = 0;
 };
 
-/// True when an image taken on a cluster of config \p a can be restored
-/// onto a cluster of config \p b: every field that shapes the state arrays
-/// or the timing model must match (the same fields api::pool_key() hashes,
-/// plus the wiring ones).
-bool config_compatible(const cluster::ClusterConfig& a,
-                       const cluster::ClusterConfig& b);
-
 /// Captures \p cl into an image. Throws api::TypedError(kBadConfig) when
 /// the cluster is not quiescent -- a snapshot taken mid-flight would lose
 /// in-flight interconnect/DMA/engine state and can never round-trip.
@@ -72,7 +65,8 @@ ClusterImage snapshot(const cluster::Cluster& cl);
 /// Restores \p img onto \p cl: full reset, then per-module state install.
 /// Works from *any* cluster state (including one whose last job was aborted
 /// mid-flight -- reset clears the wreckage first). Throws
-/// api::TypedError(kBadConfig) when the configs are incompatible.
+/// api::TypedError(kBadConfig) unless the cluster's config equals the
+/// image's in every field (each shapes the state arrays or the timing).
 void restore(cluster::Cluster& cl, const ClusterImage& img);
 
 /// Recomputes the logical-content hash stored in ClusterImage::fingerprint.

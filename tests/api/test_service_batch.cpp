@@ -158,6 +158,25 @@ TEST(ServiceBatch, PoolReusesClustersAcrossWaves) {
   EXPECT_EQ(second.cluster_reuses - first.cluster_reuses, specs.size());
 }
 
+TEST(ServiceBatch, PoolMatchesClustersOnEveryConfigField) {
+  // Two configs that differ only in L2 timing: an instance or template image
+  // of one must never serve the other.
+  cluster::ClusterConfig a, b;
+  b.l2.access_latency += 1;
+  api::ClusterPool pool;
+  cluster::Cluster* first = pool.acquire(a).cl;
+  const api::ClusterPool::Acquired other = pool.acquire(b);
+  EXPECT_TRUE(other.constructed);
+  EXPECT_NE(other.cl, first);
+  EXPECT_TRUE(other.cl->config() == b);
+  EXPECT_EQ(pool.acquire(a).cl, first);
+
+  const auto stage = [](cluster::Cluster&) {};
+  EXPECT_FALSE(pool.acquire_template(a, "t", stage).forked);
+  EXPECT_FALSE(pool.acquire_template(b, "t", stage).forked);
+  EXPECT_TRUE(pool.acquire_template(b, "t", stage).forked);
+}
+
 TEST(ServiceBatch, FailedJobDoesNotPoisonWorkerOrWave) {
   auto specs = mixed_specs();
   const std::string bad = "gemm:m=0,n=0,k=0";  // rejected by validate()

@@ -2,12 +2,8 @@
 /// geometry, batch size, and shard count from a seeded PRNG and proves the
 /// sharded training step is **bit-identical** to the single-cluster oracle
 /// -- output, every per-layer dW, every updated weight, and the MSE double
-/// -- across:
+/// -- on a directly built cluster, and through:
 ///
-///  - phase-1 worker-thread counts (different completion interleavings feed
-///    the same fixed-order reduction);
-///  - a persistent executor whose pooled shard clusters are reused across
-///    rounds of *different* resolved configs (pool-key isolation);
 ///  - the registry/service path ("sharded_network:..." specs), where the
 ///    z_hash must equal the plain "network:..." oracle spec's, twice in a
 ///    row on the same service (pooled-cluster reuse);
@@ -164,46 +160,19 @@ void expect_matches_oracle(const Oracle& o,
 
 }  // namespace
 
-TEST(ShardSoak, RandomizedShardingIsBitExactAcrossThreadsAndPools) {
+TEST(ShardSoak, RandomizedShardingIsBitExact) {
   const unsigned rounds = soak_rounds();
   Xoshiro256 rng(split_seed(0x5d00ca1, 0));
 
-  // One executor reused across ALL rounds: its workers pool shard clusters
-  // keyed by resolved config, so successive rounds with different
-  // geometries/sizes exercise both pool hits and pool isolation.
-  shard::ShardExecutor::Options persistent_opts;
-  persistent_opts.n_workers = 2;
-  shard::ShardExecutor persistent(persistent_opts);
-
   for (unsigned round = 0; round < rounds; ++round) {
     const Round r = draw_round(rng, round);
-    const std::string tag = "round " + std::to_string(round) + " " +
-                            r.sharded_spec();
     const Oracle o = oracle_step(r);
-
-    // Fresh executors at different phase-1 thread counts: completion
-    // interleavings differ, the reduced bits must not.
-    for (const unsigned workers : {1u, 4u}) {
-      ShardScenario s = make_scenario(r);
-      cluster::Cluster reduce(s.cfg);
-      shard::ShardExecutor::Options opts;
-      opts.n_workers = workers;
-      shard::ShardExecutor exec(opts);
-      const shard::ShardedTrainingResult res =
-          exec.run(reduce, s.net, s.x, s.x, r.lr, r.shards);
-      expect_matches_oracle(o, res, s.net,
-                            tag + " workers=" + std::to_string(workers));
-    }
-
-    // The persistent executor: pooled clusters from previous rounds'
-    // configs are in its workers' pools.
-    {
-      ShardScenario s = make_scenario(r);
-      cluster::Cluster reduce(s.cfg);
-      const shard::ShardedTrainingResult res =
-          persistent.run(reduce, s.net, s.x, s.x, r.lr, r.shards);
-      expect_matches_oracle(o, res, s.net, tag + " persistent-pool");
-    }
+    ShardScenario s = make_scenario(r);
+    cluster::Cluster cl(s.cfg);
+    const shard::ShardedTrainingResult res =
+        shard::run_sharded_step(cl, s.net, s.x, s.x, r.lr, r.shards);
+    expect_matches_oracle(
+        o, res, s.net, "round " + std::to_string(round) + " " + r.sharded_spec());
   }
 }
 
@@ -236,8 +205,8 @@ TEST(ShardSoak, RegistryPathHashMatchesOracleAndFaultsStayTyped) {
       EXPECT_EQ(res.stats.macs, oracle.stats.macs) << tag << " rep " << rep;
     }
 
-    // Fault composition: the armed plan fires on whichever cluster (shard
-    // or reduce) reaches its cycle first. The only legal outcomes are a
+    // Fault composition: the plan arms afresh for every slice and for the
+    // reduction, and fires in the first of them to reach its cycle. The only legal outcomes are a
     // miss (oracle-identical bits) or a typed engine fault -- a silently
     // wrong reduction is the failure mode this soak exists to catch.
     sim::FaultPlan plan;

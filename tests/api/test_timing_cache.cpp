@@ -135,7 +135,6 @@ TEST(TimingCacheSoak, EverySeamUserMatchesRunOneTwice) {
 TEST(TimingCacheState, PooledClusterAfterAHitMatchesAFreshCluster) {
   api::ClusterPool pool;
   for (const std::string& spec : seam_specs()) {
-    if (spec.rfind("sharded_network:", 0) == 0) continue;  // runs on several clusters
     auto w = WorkloadRegistry::global().create(spec);
     const cluster::ClusterConfig cfg =
         api::resolve_cluster_config(small_base(), w->requirements());

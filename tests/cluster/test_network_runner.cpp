@@ -346,30 +346,8 @@ TEST(NetworkRunner, TrainingStepTiledLayersStayExact) {
                           /*check_monolithic=*/true, /*expect_tiling=*/true);
 }
 
-TEST(NetworkRunner, SerialScheduleMatchesToo) {
-  const workloads::AutoencoderConfig cfg = tiled_ae(8);
-  Xoshiro256 rng_a(9), rng_b(9), rng_x(13);
-  NetworkGraph net_a = NetworkGraph::autoencoder(cfg, rng_a);
-  NetworkGraph net_b = NetworkGraph::autoencoder(cfg, rng_b);
-  const auto x = random_matrix(cfg.input_dim, cfg.batch, rng_x, -0.5, 0.5);
-
-  ClusterConfig ccfg;
-  ccfg.tcdm.words_per_bank = 128;  // force tiling so the schedules differ
-  Cluster cl_a(ccfg), cl_b(ccfg);
-  RedmuleDriver drv_a(cl_a), drv_b(cl_b);
-  NetworkRunner pipelined(cl_a, drv_a, NetworkRunnerOptions{true});
-  NetworkRunner serial(cl_b, drv_b, NetworkRunnerOptions{false});
-  const auto rp = pipelined.training_step(net_a, x, x, 0.0);
-  const auto rs = serial.training_step(net_b, x, x, 0.0);
-  expect_bit_exact(rp.out, rs.out, "pipelined vs serial out");
-  for (size_t l = 0; l < rp.dw.size(); ++l)
-    expect_bit_exact(rp.dw[l], rs.dw[l], "pipelined vs serial dW");
-  EXPECT_LT(rp.stats.total_cycles, rs.stats.total_cycles)
-      << "the double-buffered schedule must beat the serial one";
-}
-
 TEST(NetworkRunner, SliceIsTheStepWithoutItsDwGemms) {
-  // The sharded executor's slice must issue exactly the step's forward and
+  // The sharded step's slice must issue exactly the step's forward and
   // dX GEMMs -- same order, extents, cycles and traffic -- and capture
   // operands that reproduce the step's dW bits on a reduce cluster.
   for (const uint32_t batch : {3u, 4u}) {

@@ -43,7 +43,12 @@ const std::vector<std::string> kSpecs = {
     "gemm:m=32,n=32,k=32,geom=2x4x3,seed=23",
     "tiled:m=48,n=48,k=48,seed=24",
     "network:in=32,hidden=16-8-16,batch=1,seed=25",
+    "sharded_network:in=32,hidden=16-8-16,batch=4,shards=2,seed=26",
 };
+
+/// kSpecs.back() unsharded: the one-cluster step its bits must equal.
+const char* const kShardedOracleSpec =
+    "network:in=32,hidden=16-8-16,batch=4,seed=26";
 
 struct Expected {
   uint64_t cycles, advance, stall, macs, fma, z_hash;
@@ -61,6 +66,11 @@ const std::vector<Expected>& oracle() {
                      r.stats.stall_cycles, r.stats.macs, r.stats.fma_ops,
                      r.z_hash});
     }
+    const api::WorkloadResult net = api::Service::run_one(
+        *api::WorkloadRegistry::global().create(kShardedOracleSpec), {},
+        /*keep_outputs=*/false);
+    EXPECT_EQ(net.z_hash, out.back().z_hash) << kSpecs.back();
+    EXPECT_EQ(net.stats.macs, out.back().macs) << kSpecs.back();
     return out;
   }();
   return table;

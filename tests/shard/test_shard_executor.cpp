@@ -1,4 +1,4 @@
-// Contracts of the sharded training-step executor (shard/sharding.hpp):
+// Contracts of the sharded training step (shard/sharding.hpp):
 //
 //  - PLAN: plan_shards cuts at H-aligned (even) quanta, covers the batch
 //    exactly once, keeps every interior slice even, and degrades to fewer
@@ -6,9 +6,6 @@
 //  - ORACLE: for every shard count, the sharded step is bit-identical to
 //    NetworkRunner::training_step on one cluster -- output, every per-layer
 //    dW, every updated weight, and the MSE double.
-//  - FIXED-ORDER REDUCTION: forcing shards to *complete* in reverse order
-//    (via the phase1_done_hook test seam) changes nothing -- the reduction
-//    consumes slices in shard order, so completion order is invisible.
 //  - SEED STREAMS: redmule::split_seed gives every shard/job stream an
 //    independent, order-free seed (the property the soak and benches lean
 //    on when deriving per-shard scenarios from one base seed).
@@ -18,10 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
+#include <algorithm>
+#include <chrono>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "api/service.hpp"
@@ -34,7 +31,7 @@ using namespace redmule;
 using cluster::NetworkRunner;
 using core::MatrixF16;
 using shard::plan_shards;
-using shard::ShardExecutor;
+using shard::run_sharded_step;
 using shard::ShardSlice;
 
 namespace {
@@ -166,94 +163,47 @@ TEST(ShardPlan, SmallBatchDegradesToFewerShards) {
 
 // --- Bit-exactness against the single-cluster oracle -------------------------
 
-TEST(ShardExecutorTest, EveryShardCountMatchesOracle) {
+TEST(ShardedStep, EveryShardCountMatchesOracle) {
   const double lr = 0.01;
   for (uint32_t batch : {4u, 12u, 15u}) {
     const workloads::AutoencoderConfig ae = small_ae(batch);
     const Oracle o = oracle_step(ae, split_seed(7, batch), lr);
+    // One cluster for every shard count: each step resets it before every
+    // slice and before the reduction, so earlier steps cannot leak in.
+    cluster::Cluster cl(make_setup(ae, split_seed(7, batch)).cfg);
     for (uint32_t shards : {1u, 2u, 3u, 4u}) {
       ShardCase s = make_setup(ae, split_seed(7, batch));
-      cluster::Cluster reduce(s.cfg);
-      ShardExecutor exec;
-      auto r = exec.run(reduce, s.net, s.x, s.x, lr, shards);
-      expect_matches_oracle(
-          o, r, s.net, "B" + std::to_string(batch) + "xS" + std::to_string(shards));
+      auto r = run_sharded_step(cl, s.net, s.x, s.x, lr, shards);
+      std::string tag = "B";
+      tag += std::to_string(batch);
+      tag += "xS";
+      tag += std::to_string(shards);
+      expect_matches_oracle(o, r, s.net, tag);
       EXPECT_EQ(r.stats.shards, plan_shards(batch, shards, s.cfg.geometry).size());
     }
   }
 }
 
-TEST(ShardExecutorTest, SingleSliceCyclesMatchMonolithicStep) {
+TEST(ShardedStep, SingleSliceCyclesMatchMonolithicStep) {
   // One slice runs the same GEMM multiset with the same plans on one
   // cluster; the modeled makespan must equal the monolithic cycle count.
   const workloads::AutoencoderConfig ae = small_ae(8);
   const Oracle o = oracle_step(ae, 21, 0.01);
   ShardCase s = make_setup(ae, 21);
-  cluster::Cluster reduce(s.cfg);
-  ShardExecutor exec;
-  const auto r = exec.run(reduce, s.net, s.x, s.x, 0.01, 1);
+  cluster::Cluster cl(s.cfg);
+  const auto r = run_sharded_step(cl, s.net, s.x, s.x, 0.01, 1);
   EXPECT_EQ(r.stats.makespan_cycles, o.cycles);
   EXPECT_EQ(r.stats.interconnect_bytes, 0u);
 }
 
-TEST(ShardExecutorTest, ReverseCompletionOrderChangesNothing) {
-  // Force shard k to finish publishing only after every higher-indexed
-  // shard: the reduction still consumes slices in shard order, so the bits
-  // -- dW chains included -- cannot move.
-  const workloads::AutoencoderConfig ae = small_ae(16);
-  const Oracle o = oracle_step(ae, 33, 0.01);
-
-  std::mutex m;
-  std::condition_variable cv;
-  std::set<uint32_t> done;
-  ShardExecutor::Options opts;
-  opts.n_workers = 4;
-  opts.phase1_done_hook = [&](uint32_t k) {
-    std::unique_lock<std::mutex> l(m);
-    cv.wait(l, [&] {
-      for (uint32_t later = k + 1; later < 4; ++later)
-        if (done.count(later) == 0) return false;
-      return true;
-    });
-    done.insert(k);
-    cv.notify_all();
-  };
-  ShardCase s = make_setup(ae, 33);
-  cluster::Cluster reduce(s.cfg);
-  ShardExecutor exec(std::move(opts));
-  const auto r = exec.run(reduce, s.net, s.x, s.x, 0.01, 4);
-  ASSERT_EQ(r.stats.shards, 4u);
-  ASSERT_EQ(done.size(), 4u);
-  expect_matches_oracle(o, r, s.net, "reverse-completion");
-}
-
-TEST(ShardExecutorTest, RepeatedRunsReusePooledClustersBitExactly) {
-  // The lazily-created engine persists across runs, so the second step runs
-  // on reset pooled clusters -- and must not move a bit.
-  const workloads::AutoencoderConfig ae = small_ae(12);
-  ShardExecutor exec;
-  uint64_t first_hash = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    ShardCase s = make_setup(ae, 55);
-    cluster::Cluster reduce(s.cfg);
-    const auto r = exec.run(reduce, s.net, s.x, s.x, 0.01, 3);
-    const uint64_t h = api::hash_training_step(r.out, r.dw);
-    if (rep == 0)
-      first_hash = h;
-    else
-      EXPECT_EQ(h, first_hash) << "rep " << rep;
-  }
-}
-
-TEST(ShardExecutorTest, CostModelChargesInterconnectOnlyWhenSharded) {
+TEST(ShardedStep, CostModelChargesInterconnectOnlyWhenSharded) {
   const workloads::AutoencoderConfig ae = small_ae(16);
   ShardCase s1 = make_setup(ae, 66);
   cluster::Cluster r1(s1.cfg);
-  ShardExecutor exec;
-  const auto one = exec.run(r1, s1.net, s1.x, s1.x, 0.0, 1);
+  const auto one = run_sharded_step(r1, s1.net, s1.x, s1.x, 0.0, 1);
   ShardCase s4 = make_setup(ae, 66);
   cluster::Cluster r4(s4.cfg);
-  const auto four = exec.run(r4, s4.net, s4.x, s4.x, 0.0, 4);
+  const auto four = run_sharded_step(r4, s4.net, s4.x, s4.x, 0.0, 4);
 
   EXPECT_EQ(one.stats.interconnect_bytes, 0u);
   EXPECT_GT(four.stats.interconnect_bytes, 0u);
@@ -267,7 +217,7 @@ TEST(ShardExecutorTest, CostModelChargesInterconnectOnlyWhenSharded) {
   EXPECT_EQ(four.stats.macs, one.stats.macs);  // same useful work
 }
 
-TEST(ShardExecutorTest, ReductionLayoutFitsTrainingSizedClusters) {
+TEST(ShardedStep, ReductionLayoutFitsTrainingSizedClusters) {
   // requirements() reuses the full training layout; the accumulator's
   // resident layout must always fit under it, for any dims/batch here.
   for (uint32_t batch : {1u, 2u, 8u, 33u}) {
@@ -319,18 +269,25 @@ TEST(ShardSeeds, ShardedInputsMatchUnshardedForSameSeed) {
 
 TEST(ShardedWorkload, RegistrySpecHashMatchesNetworkOracle) {
   const std::string tail = "in=24,hidden=12-6-12,batch=16,seed=77";
-  auto oracle = api::WorkloadRegistry::global().create("network:" + tail);
+  std::string network = "network:";
+  network += tail;
+  auto oracle = api::WorkloadRegistry::global().create(network);
   const api::WorkloadResult ref = api::Service::run_one(*oracle);
   ASSERT_TRUE(ref.ok()) << ref.error.to_string();
   for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-    auto w = api::WorkloadRegistry::global().create(
-        "sharded_network:" + tail + ",shards=" + std::to_string(shards));
+    std::string spec = "sharded_network:";
+    spec += tail;
+    spec += ",shards=";
+    spec += std::to_string(shards);
+    auto w = api::WorkloadRegistry::global().create(spec);
     EXPECT_EQ(w->requirements().l2_bytes, oracle->requirements().l2_bytes);
     const api::WorkloadResult r = api::Service::run_one(*w);
     ASSERT_TRUE(r.ok()) << r.error.to_string();
     EXPECT_EQ(r.z_hash, ref.z_hash) << "shards=" << shards;
     EXPECT_EQ(r.stats.macs, ref.stats.macs) << "shards=" << shards;
-    if (shards == 1) EXPECT_EQ(r.stats.cycles, ref.stats.cycles);
+    if (shards == 1) {
+      EXPECT_EQ(r.stats.cycles, ref.stats.cycles);
+    }
   }
 }
 
@@ -350,6 +307,31 @@ TEST(ShardedWorkload, RunsThroughServiceSubmission) {
     ASSERT_TRUE(r.ok()) << r.error.to_string();
     EXPECT_EQ(r.z_hash, ref.z_hash);
   }
+}
+
+TEST(ShardedWorkload, WallBudgetCoversTheWholeStep) {
+  // Every slice and the reduction arm their own control, but the wall
+  // budget counts once from the start of the step. Half the fastest
+  // unbounded step outlasts each of the nine phases (the reduction, the
+  // largest, is about a third of the step), so only a job-wide budget fires.
+  const auto w = api::WorkloadRegistry::global().create(
+      "sharded_network:in=64,hidden=32-16-32,batch=64,shards=8,seed=9");
+  int64_t fastest_ms = INT64_MAX;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(api::Service::run_one(*w).ok());
+    fastest_ms = std::min<int64_t>(
+        fastest_ms, std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count());
+  }
+  api::RunContext ctx;
+  ctx.deadline.max_wall_ms =
+      static_cast<uint64_t>(std::max<int64_t>(1, fastest_ms / 2));
+  const api::WorkloadResult r = api::Service::run_one(*w, {}, false, ctx);
+  EXPECT_EQ(r.error.code, api::ErrorCode::kTimeout)
+      << "budget " << ctx.deadline.max_wall_ms << " ms of a " << fastest_ms
+      << " ms step: " << r.error.to_string();
 }
 
 TEST(ShardedWorkload, BadSpecsAreTypedErrors) {

@@ -188,15 +188,18 @@ TEST(Snapshot, IncompatibleConfigRestoreIsTypedBadConfig) {
   Cluster small{ClusterConfig{}};
   const state::ClusterImage img = state::snapshot(small);
 
-  ClusterConfig big;
+  // A differently sized L2, and an L2 that differs only in its timing.
+  ClusterConfig big, slow;
   big.l2.size_bytes *= 2;
-  Cluster other(big);
-  EXPECT_FALSE(state::config_compatible(img.config, big));
-  try {
-    state::restore(other, img);
-    FAIL() << "config-incompatible restore must be refused";
-  } catch (const api::TypedError& e) {
-    EXPECT_EQ(e.code(), api::ErrorCode::kBadConfig);
+  slow.l2.access_latency += 1;
+  for (const ClusterConfig& cfg : {big, slow}) {
+    Cluster other(cfg);
+    try {
+      state::restore(other, img);
+      ADD_FAILURE() << "config-incompatible restore must be refused";
+    } catch (const api::TypedError& e) {
+      EXPECT_EQ(e.code(), api::ErrorCode::kBadConfig);
+    }
   }
 }
 
