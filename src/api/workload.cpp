@@ -204,10 +204,9 @@ ClusterRequirements TiledGemmWorkload::requirements() const {
   reqs.geometry = spec_.geometry;
   // The planner's own smallest aligned tile set must fit the TCDM; the L2
   // must hold the staged (DMA-padded) operands.
-  const uint32_t np = spec_.shape.n + (spec_.shape.n & 1u);
-  const uint32_t kp = spec_.shape.k + (spec_.shape.k & 1u);
   const workloads::TiledGemmPlan min_plan = workloads::min_tile_plan(
-      spec_.shape.m, np, kp, spec_.accumulate, spec_.geometry);
+      spec_.shape.m, pad_even(spec_.shape.n), pad_even(spec_.shape.k),
+      spec_.accumulate, spec_.geometry);
   reqs.tcdm_bytes = min_plan.tcdm_bytes() + kTcdmSlackBytes;
   reqs.l2_bytes = min_plan.staged_l2_bytes();
   return reqs;

@@ -9,63 +9,34 @@ namespace {
 using fp16::Float16;
 using workloads::AeGemm;
 using workloads::NetworkGraph;
-using workloads::NetworkLayer;
 using workloads::TiledGemmPlan;
-
-uint32_t pad_even(uint32_t v) { return v + (v & 1u); }
 
 /// Per-layer lowered-GEMM geometry: the one description both the executor's
 /// L2 layout and the static sizing helpers are computed from, so the batch
 /// runner's cluster sizing can never diverge from what a run allocates.
 struct LayerGeom {
-  uint32_t m = 0;        ///< GEMM output rows (out_dim, out_channels for conv)
-  uint32_t n = 0;        ///< real reduction extent (in_dim / C*k*k)
-  uint32_t kk = 0;       ///< real GEMM columns (batch / oh*ow)
-  uint32_t in_vec = 0;   ///< activation-vector length consumed
-  uint32_t out_vec = 0;  ///< activation-vector length produced
-  bool conv = false;
-  bool relu = false;
+  uint32_t m = 0;     ///< output rows (out_dim)
+  uint32_t n = 0;     ///< real reduction extent (in_dim)
+  bool relu = false;  ///< ReLU after this layer: every layer but the last
 };
 
-std::vector<LayerGeom> geoms_from_graph(const NetworkGraph& net, uint32_t batch) {
+/// The layers of the network with dimension chain \p dims.
+std::vector<LayerGeom> layer_geoms(const std::vector<uint32_t>& dims) {
+  REDMULE_REQUIRE(dims.size() >= 2, "a network needs at least one layer");
   std::vector<LayerGeom> geoms;
-  for (const NetworkLayer& l : net.layers()) {
-    LayerGeom g;
-    const workloads::GemmShape s = l.forward_shape(batch);
-    g.m = s.m;
-    g.n = s.n;
-    g.kk = s.k;
-    g.in_vec = l.in_dim();
-    g.out_vec = l.out_dim();
-    g.conv = l.kind == NetworkLayer::Kind::kConv;
-    g.relu = l.relu;
-    geoms.push_back(g);
-  }
+  for (size_t l = 0; l + 1 < dims.size(); ++l)
+    geoms.push_back({dims[l + 1], dims[l], l + 2 < dims.size()});
   return geoms;
 }
 
-/// The autoencoder shape: a linear chain with ReLU between layers. Must
-/// produce exactly what geoms_from_graph produces for
-/// NetworkGraph::autoencoder, so the sizing helpers stay truthful.
-std::vector<LayerGeom> geoms_from_dims(const std::vector<uint32_t>& dims,
-                                       uint32_t batch) {
-  REDMULE_REQUIRE(dims.size() >= 2, "a network needs at least one layer");
-  std::vector<LayerGeom> geoms;
-  for (size_t l = 0; l + 1 < dims.size(); ++l) {
-    LayerGeom g;
-    g.m = dims[l + 1];
-    g.n = dims[l];
-    g.kk = batch;
-    g.in_vec = dims[l];
-    g.out_vec = dims[l + 1];
-    g.relu = l + 2 < dims.size();
-    geoms.push_back(g);
-  }
-  return geoms;
+std::vector<LayerGeom> layer_geoms(const NetworkGraph& net) {
+  std::vector<uint32_t> dims{net.input_dim()};
+  for (const workloads::NetworkLayer& l : net.layers()) dims.push_back(l.out_dim());
+  return layer_geoms(dims);
 }
 
 /// One lowered GEMM of a layer: its real shape (named "L<l>.fw|dW|dX") and
-/// the padded extents its tiled plan covers -- fw m x pad(n) x pad(kk),
+/// the padded extents its tiled plan covers -- fw m x pad(n) x Bp,
 /// dW m x Bp x pad(n), dX n x pad(m) x Bp. The one formula a run plans with
 /// and min_tcdm_bytes sizes with, so TCDM sizing cannot drift from a run.
 struct PhaseGemm {
@@ -78,7 +49,7 @@ PhaseGemm phase_gemm(const LayerGeom& g, size_t l, AeGemm::Phase phase,
   const uint32_t bp = pad_even(batch);
   const std::string name = 'L' + std::to_string(l);
   if (phase == AeGemm::Phase::kForward)
-    return {{name + ".fw", g.m, g.n, g.kk}, g.m, pad_even(g.n), pad_even(g.kk)};
+    return {{name + ".fw", g.m, g.n, batch}, g.m, pad_even(g.n), bp};
   if (phase == AeGemm::Phase::kGradWeight)
     return {{name + ".dW", g.m, batch, g.n}, g.m, bp, pad_even(g.n)};
   return {{name + ".dX", g.n, g.m, batch}, g.n, pad_even(g.m), bp};
@@ -104,20 +75,18 @@ class RegionAlloc {
 
 /// Byte addresses of one layer's L2 regions (0 = not allocated).
 struct LayerAddrs {
-  uint32_t weight = 0;    ///< (m x pad_even(n))
-  uint32_t wt = 0;        ///< training: W^T, (n x pad_even(m))
-  uint32_t patches = 0;   ///< conv: im2col scratch, (pad_even(n) x pad_even(kk))
-  uint32_t gemm_out = 0;  ///< conv: raw GEMM output, (m x pad_even(kk))
-  uint32_t pre = 0;       ///< flattened pre-activation, (pad_even(out_vec) x Bp)
-  uint32_t act = 0;       ///< post-ReLU activation (== pre when !relu)
-  uint32_t dw = 0;        ///< training: weight gradient, (m x pad_even(n))
+  uint32_t weight = 0;  ///< (m x pad_even(n))
+  uint32_t wt = 0;      ///< training: W^T, (n x pad_even(m))
+  uint32_t pre = 0;     ///< pre-activation, (pad_even(m) x Bp)
+  uint32_t act = 0;     ///< post-ReLU activation (== pre when !relu)
+  uint32_t dw = 0;      ///< training: weight gradient, (m x pad_even(n))
 };
 
 struct Layout {
-  uint32_t input = 0;  ///< (pad_even(in_vec_0) x Bp)
+  uint32_t input = 0;  ///< (pad_even(n_0) x Bp)
   std::vector<LayerAddrs> layers;
   uint32_t act_t = 0;  ///< training scratch: A_l^T, (Bp x max pad_even(n))
-  uint32_t dy0 = 0, dy1 = 0;  ///< training: (max pad_even(out_vec) x Bp)
+  uint32_t dy0 = 0, dy1 = 0;  ///< training: (max pad_even(m) x Bp)
   uint64_t total_bytes = 0;
 };
 
@@ -127,7 +96,7 @@ Layout build_layout(const std::vector<LayerGeom>& geoms, uint32_t batch,
   const uint32_t bp = pad_even(batch);
   RegionAlloc alloc(base);
   Layout lay;
-  lay.input = alloc(pad_even(geoms.front().in_vec), bp);
+  lay.input = alloc(pad_even(geoms.front().n), bp);
   for (const LayerGeom& g : geoms) {
     LayerAddrs a;
     a.weight = alloc(g.m, pad_even(g.n));
@@ -135,19 +104,15 @@ Layout build_layout(const std::vector<LayerGeom>& geoms, uint32_t batch,
       a.wt = alloc(g.n, pad_even(g.m));
       a.dw = alloc(g.m, pad_even(g.n));
     }
-    if (g.conv) {
-      a.patches = alloc(pad_even(g.n), pad_even(g.kk));
-      a.gemm_out = alloc(g.m, pad_even(g.kk));
-    }
-    a.pre = alloc(pad_even(g.out_vec), bp);
-    a.act = g.relu ? alloc(pad_even(g.out_vec), bp) : a.pre;
+    a.pre = alloc(pad_even(g.m), bp);
+    a.act = g.relu ? alloc(pad_even(g.m), bp) : a.pre;
     lay.layers.push_back(a);
   }
   if (training) {
     uint32_t max_n = 0, max_out = 0;
     for (const LayerGeom& g : geoms) {
       max_n = std::max(max_n, pad_even(g.n));
-      max_out = std::max(max_out, pad_even(g.out_vec));
+      max_out = std::max(max_out, pad_even(g.m));
     }
     lay.act_t = alloc(bp, max_n);
     lay.dy0 = alloc(max_out, bp);
@@ -233,12 +198,8 @@ void stage_layers(mem::L2Memory& l2, const NetworkGraph& net,
       write_mat(l2, a.wt, pad_to(w.transposed(), g.n, pad_even(g.m)));
       zero_region(l2, a.dw, g.m, pad_even(g.n));
     }
-    if (g.conv) {
-      zero_region(l2, a.patches, pad_even(g.n), pad_even(g.kk));
-      zero_region(l2, a.gemm_out, g.m, pad_even(g.kk));
-    }
-    zero_region(l2, a.pre, pad_even(g.out_vec), bp);
-    if (g.relu) zero_region(l2, a.act, pad_even(g.out_vec), bp);
+    zero_region(l2, a.pre, pad_even(g.m), bp);
+    if (g.relu) zero_region(l2, a.act, pad_even(g.m), bp);
   }
 }
 
@@ -280,15 +241,6 @@ class GemmRecorder {
   uint64_t cycle0_;
 };
 
-/// Bias add on the *real* region of an in-memory GEMM output (the lowering
-/// rule: pad columns stay exactly +0).
-void apply_bias(MatrixF16& z, const std::vector<Float16>& bias, uint32_t rows,
-                uint32_t real_cols) {
-  for (uint32_t r = 0; r < rows; ++r)
-    for (uint32_t c = 0; c < real_cols; ++c)
-      z(r, c) = workloads::bias_add_f16(z(r, c), bias[r]);
-}
-
 /// ReLU from the resident pre buffer into the act buffer (the whole padded
 /// region -- relu(+0) == +0, so pads are preserved).
 void apply_relu(mem::L2Memory& l2, uint32_t pre_addr, uint32_t act_addr,
@@ -301,68 +253,23 @@ void apply_relu(mem::L2Memory& l2, uint32_t pre_addr, uint32_t act_addr,
 
 /// The forward walk over a staged layout, activations kept resident per
 /// layer: the ONE implementation forward() and training run, so the
-/// elementwise contract cannot drift between them. Conv layers first stage
-/// their im2col patch matrix; every layer then runs one GEMM, bias on the
-/// real region and ReLU into the act buffer. Returns the output's address.
+/// elementwise contract cannot drift between them. Every layer runs one GEMM
+/// and, but for the last, ReLU into its act buffer. Returns the output's
+/// address.
 uint32_t run_forward(mem::L2Memory& l2, GemmRecorder& gemms,
-                     const NetworkGraph& net, const std::vector<LayerGeom>& geoms,
-                     const Layout& lay, uint32_t batch) {
+                     const std::vector<LayerGeom>& geoms, const Layout& lay,
+                     uint32_t batch) {
   const uint32_t bp = pad_even(batch);
   uint32_t cur_act = lay.input;
   for (size_t l = 0; l < geoms.size(); ++l) {
     const LayerGeom& g = geoms[l];
     const LayerAddrs& a = lay.layers[l];
-    const NetworkLayer& layer = net.layer(l);
-    const uint32_t kkp = pad_even(g.kk);
-
-    StagedGemm addrs{a.weight, cur_act, a.pre, 0};
-    if (g.conv) {
-      REDMULE_REQUIRE(batch == 1, "conv layers require batch 1");
-      // im2col front-end: reshape the resident activation column to the
-      // (C x H*W) image and stage the padded patch matrix.
-      const workloads::Conv2dParams& p = layer.conv;
-      const MatrixF16 col = read_mat(l2, cur_act, g.in_vec, bp);
-      MatrixF16 img(p.in_channels, static_cast<size_t>(p.in_h) * p.in_w);
-      for (size_t r = 0; r < img.rows(); ++r)
-        for (size_t c = 0; c < img.cols(); ++c)
-          img(r, c) = col(r * img.cols() + c, 0);
-      write_mat(l2, a.patches, pad_to(im2col(img, p), pad_even(g.n), kkp));
-      addrs = {a.weight, a.patches, a.gemm_out, 0};
-    }
-    gemms.run(g, l, AeGemm::Phase::kForward, batch, addrs, /*has_y=*/false);
-
-    // Bias on the real region; a conv output is then flattened row-major
-    // into the activation column (the pre buffer was zeroed, pads stay +0).
-    if (g.conv || !layer.bias.empty()) {
-      MatrixF16 z = read_mat(l2, addrs.z_addr, g.m, kkp);
-      if (!layer.bias.empty()) apply_bias(z, layer.bias, g.m, g.kk);
-      if (g.conv) {
-        MatrixF16 flat(pad_even(g.out_vec), bp);
-        for (uint32_t r = 0; r < g.m; ++r)
-          for (uint32_t c = 0; c < g.kk; ++c) flat(r * g.kk + c, 0) = z(r, c);
-        z = std::move(flat);
-      }
-      write_mat(l2, a.pre, z);
-    }
-    if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.out_vec), bp);
+    gemms.run(g, l, AeGemm::Phase::kForward, batch,
+              {a.weight, cur_act, a.pre, 0}, /*has_y=*/false);
+    if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.m), bp);
     cur_act = a.act;
   }
   return cur_act;
-}
-
-/// Shape checks shared by every training entry point (mirrored in
-/// workloads::reference_training_step).
-void check_training_net(const NetworkGraph& net) {
-  const size_t n_layers = net.n_layers();
-  REDMULE_REQUIRE(n_layers >= 1, "empty network");
-  REDMULE_REQUIRE(!net.has_conv(), "training requires a pure linear chain");
-  REDMULE_REQUIRE(!net.layer(n_layers - 1).relu,
-                  "training expects a linear output layer (no final ReLU)");
-  // Bias gradients are not part of the training lowering (the autoencoder
-  // has none); training a biased layer would silently freeze its bias, so
-  // reject the configuration outright.
-  for (const workloads::NetworkLayer& l : net.layers())
-    REDMULE_REQUIRE(l.bias.empty(), "training does not support bias layers");
 }
 
 /// A training execution's result plus the geometry and layout its wrapper
@@ -385,7 +292,6 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
                          const NetworkGraph& net, const MatrixF16& x,
                          const MatrixF16& target,
                          NetworkRunner::SliceBackward* capture) {
-  check_training_net(net);
   REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
   const uint32_t batch = static_cast<uint32_t>(x.cols());
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
@@ -395,21 +301,21 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
 
   auto& l2 = cl.l2();
   TrainingRun run;
-  run.geoms = geoms_from_graph(net, batch);
+  run.geoms = layer_geoms(net);
   run.lay = layout_checked(l2, run.geoms, batch, /*training=*/true);
   const std::vector<LayerGeom>& geoms = run.geoms;
   const Layout& lay = run.lay;
   NetworkRunner::TrainingResult& res = run.res;
 
   // --- Stage the per-job input; the template staged everything else --------
-  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
+  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().n), bp));
   GemmRecorder gemms(cl, drv, res.stats);
-  run_forward(l2, gemms, net, geoms, lay, batch);
+  run_forward(l2, gemms, geoms, lay, batch);
 
   // --- MSE loss gradient: dY = fp16(out - target) on the real region -------
   const LayerGeom& gl = geoms.back();
   const MatrixF16 out = read_mat(l2, lay.layers.back().pre, gl.m, bp);
-  MatrixF16 dy(pad_even(gl.out_vec), bp);  // pads stay exactly +0
+  MatrixF16 dy(pad_even(gl.m), bp);  // pads stay exactly +0
   double mse = 0.0;
   for (uint32_t r = 0; r < gl.m; ++r)
     for (uint32_t c = 0; c < batch; ++c) {
@@ -453,14 +359,12 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
     // scrubbing: the alternating dY buffers are reused across layers of
     // different heights, so rows [n, inp) may hold a stale taller layer.
     MatrixF16 dx = read_mat(l2, dy_next, inp, bp);
-    const bool mask = net.layer(li - 1).relu;
-    const MatrixF16 pa =
-        mask ? read_mat(l2, lay.layers[li - 1].pre, g.n, bp) : MatrixF16();
+    const MatrixF16 pa = read_mat(l2, lay.layers[li - 1].pre, g.n, bp);
     for (uint32_t r = 0; r < inp; ++r)
       for (uint32_t c = 0; c < bp; ++c) {
         if (r >= g.n)
           dx(r, c) = Float16{};
-        else if (mask && c < batch && Float16::lt(pa(r, c), Float16{}))
+        else if (c < batch && Float16::lt(pa(r, c), Float16{}))
           dx(r, c) = Float16{};
       }
     write_mat(l2, dy_next, dx);
@@ -476,32 +380,29 @@ NetworkRunner::NetworkRunner(Cluster& cluster, RedmuleDriver& driver)
 
 NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
                                                     const MatrixF16& x) {
-  REDMULE_REQUIRE(net.n_layers() >= 1, "empty network");
   REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
   const uint32_t batch = static_cast<uint32_t>(x.cols());
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
   const uint32_t bp = pad_even(batch);
 
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
+  const std::vector<LayerGeom> geoms = layer_geoms(net);
   const Layout lay = layout_checked(l2, geoms, batch, /*training=*/false);
-  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().in_vec), bp));
+  write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().n), bp));
   stage_layers(l2, net, geoms, lay, batch, /*training=*/false);
 
   ForwardResult res;
   GemmRecorder gemms(cl_, drv_, res.stats);
-  const uint32_t out = run_forward(l2, gemms, net, geoms, lay, batch);
-  res.out = strip_to(read_mat(l2, out, geoms.back().out_vec, bp),
-                     geoms.back().out_vec, batch);
+  const uint32_t out = run_forward(l2, gemms, geoms, lay, batch);
+  res.out = strip_to(read_mat(l2, out, geoms.back().m, bp), geoms.back().m, batch);
   return res;
 }
 
 void NetworkRunner::stage_training_template(const NetworkGraph& net,
                                             uint32_t batch) {
-  check_training_net(net);
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = geoms_from_graph(net, batch);
+  const std::vector<LayerGeom> geoms = layer_geoms(net);
   const Layout lay = layout_checked(l2, geoms, batch, /*training=*/true);
   stage_layers(l2, net, geoms, lay, batch, /*training=*/true);
 }
@@ -545,15 +446,11 @@ NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
 DwAccumulator::DwAccumulator(Cluster& cluster, RedmuleDriver& driver,
                              const NetworkGraph& net, uint32_t max_padded_batch)
     : cl_(cluster), drv_(driver), max_padded_batch_(max_padded_batch) {
-  REDMULE_REQUIRE(net.n_layers() >= 1, "empty network");
-  REDMULE_REQUIRE(!net.has_conv(),
-                  "gradient reduction requires a pure linear chain");
   REDMULE_REQUIRE(max_padded_batch >= 2 && max_padded_batch % 2 == 0,
                   "padded batch must be even and positive");
 
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms =
-      geoms_from_graph(net, max_padded_batch);
+  const std::vector<LayerGeom> geoms = layer_geoms(net);
   const AccLayout lay =
       build_acc_layout(geoms, max_padded_batch, l2.config().base_addr);
   require_fits(l2, lay.total_bytes, "gradient-reduction");
@@ -617,19 +514,19 @@ std::vector<core::MatrixF16> DwAccumulator::gradients() const {
 
 uint64_t DwAccumulator::l2_bytes(const std::vector<uint32_t>& dims,
                                  uint32_t batch) {
-  return build_acc_layout(geoms_from_dims(dims, batch), pad_even(batch), 0)
+  return build_acc_layout(layer_geoms(dims), pad_even(batch), 0)
       .total_bytes;
 }
 
 uint64_t NetworkRunner::training_l2_bytes(const std::vector<uint32_t>& dims,
                                           uint32_t batch) {
-  return build_layout(geoms_from_dims(dims, batch), batch, /*training=*/true, 0)
+  return build_layout(layer_geoms(dims), batch, /*training=*/true, 0)
       .total_bytes;
 }
 
 uint64_t NetworkRunner::min_tcdm_bytes(const std::vector<uint32_t>& dims,
                                        uint32_t batch, const core::Geometry& g) {
-  const std::vector<LayerGeom> geoms = geoms_from_dims(dims, batch);
+  const std::vector<LayerGeom> geoms = layer_geoms(dims);
   uint64_t need = 0;
   for (size_t l = 0; l < geoms.size(); ++l)
     for (const AeGemm::Phase p :

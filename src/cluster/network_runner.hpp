@@ -1,9 +1,8 @@
 /// \file network_runner.hpp
 /// \brief End-to-end multi-layer network executor on the tiled L2 pipeline.
 ///
-/// Executes a whole workloads::NetworkGraph forward pass -- and, for linear
-/// chains, the full training step (forward, dX, dW, optional SGD update) --
-/// on ONE cluster:
+/// Executes a whole workloads::NetworkGraph forward pass -- and the full
+/// training step (forward, dX, dW, optional SGD update) -- on ONE cluster:
 ///
 ///  - weights (and, for training, their transposes) are staged in L2 once
 ///    per call, padded per the lowering contract in workloads/network.hpp;
@@ -12,7 +11,7 @@
 ///    through the TCDM tile buffers with DMA/compute overlap, and the Z
 ///    region of layer l is directly the W operand region of layer l+1 --
 ///    no activation ever round-trips through the host;
-///  - elementwise bias/ReLU/loss-gradient steps run between GEMMs with the
+///  - elementwise ReLU/loss-gradient steps run between GEMMs with the
 ///    FP16 rules of workloads/network.hpp (applied through the zero-time L2
 ///    backdoor: on the real cluster these run on the 8 RISC-V cores in
 ///    parallel with the next layer's DMA prefetch, and the paper's cycle
@@ -74,8 +73,7 @@ class NetworkRunner {
     core::MatrixF16 out;  ///< (output_dim x batch)
     NetworkStats stats;
   };
-  /// Whole-network forward pass; \p x is (input_dim x batch). Conv layers
-  /// require batch == 1 (the im2col lowering is per-image).
+  /// Whole-network forward pass; \p x is (input_dim x batch).
   ForwardResult forward(const workloads::NetworkGraph& net, const MatrixF16& x);
 
   struct TrainingResult {
@@ -86,9 +84,9 @@ class NetworkRunner {
   };
   /// One full training step on the cluster: forward, MSE gradient vs
   /// \p target, backward dX/dW chains, and -- when \p lr is nonzero -- the
-  /// FP16 SGD update applied to \p net's (host) weights. Linear chains only.
-  /// Equivalent to stage_training_template() followed by
-  /// training_step_staged() -- bit-identical, same simulated cycles.
+  /// FP16 SGD update applied to \p net's (host) weights. Equivalent to
+  /// stage_training_template() followed by training_step_staged() --
+  /// bit-identical, same simulated cycles.
   TrainingResult training_step(workloads::NetworkGraph& net, const MatrixF16& x,
                                const MatrixF16& target, double lr);
 
@@ -142,9 +140,8 @@ class NetworkRunner {
                                             const MatrixF16& x,
                                             const MatrixF16& target);
 
-  /// L2 bytes the training-step layout needs for a linear chain with the
-  /// given dimension sequence (ReLU between layers, no bias -- the
-  /// autoencoder shape). The batch runner sizes pooled clusters with this.
+  /// L2 bytes the training-step layout needs for the network with the given
+  /// dimension chain. The batch runner sizes pooled clusters with this.
   static uint64_t training_l2_bytes(const std::vector<uint32_t>& dims,
                                     uint32_t batch);
   /// Smallest TCDM budget that fits the minimum aligned tile set of every

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
@@ -59,6 +60,10 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<T> data_;
 };
+
+/// \p n rounded up to even: DMA rows are word-multiples, so every staged FP16
+/// extent that becomes a DMA row length is padded to this.
+inline uint32_t pad_even(uint32_t n) { return n + (n & 1u); }
 
 /// Copies \p src into the top-left corner of a (rows x cols) zero matrix --
 /// the staging rule for DMA-padded operands (pad entries are

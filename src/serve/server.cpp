@@ -18,6 +18,21 @@ namespace {
 constexpr uint8_t kWakeCompletion = 'W';
 constexpr uint8_t kWakeDrain = 'D';
 
+/// The RESULT payload of a finished job -- all zero unless it succeeded;
+/// deliver_terminal stamps its tag and job id.
+ResultMsg result_of(const api::WorkloadResult& r) {
+  ResultMsg m;
+  if (r.ok()) {
+    m.cycles = r.stats.cycles;
+    m.advance_cycles = r.stats.advance_cycles;
+    m.stall_cycles = r.stats.stall_cycles;
+    m.macs = r.stats.macs;
+    m.fma_ops = r.stats.fma_ops;
+    m.z_hash = r.z_hash;
+  }
+  return m;
+}
+
 }  // namespace
 
 int64_t Server::now_ms() {
@@ -424,19 +439,7 @@ void Server::handle_submit(Session& s, const Frame& f) {
   const uint64_t tag = m.tag;
   opts.on_complete = [this, session_id, tag](const api::WorkloadResult& r) {
     // Worker thread: package the outcome, hand it to the loop, wake it.
-    Completion c;
-    c.session_id = session_id;
-    c.tag = tag;
-    c.code = r.error.code;
-    c.message = r.error.message;
-    if (r.ok()) {
-      c.result.cycles = r.stats.cycles;
-      c.result.advance_cycles = r.stats.advance_cycles;
-      c.result.stall_cycles = r.stats.stall_cycles;
-      c.result.macs = r.stats.macs;
-      c.result.fma_ops = r.stats.fma_ops;
-      c.result.z_hash = r.z_hash;
-    }
+    Completion c{session_id, tag, r.error.code, r.error.message, result_of(r)};
     {
       std::lock_guard<std::mutex> l(completions_m_);
       completions_.push_back(std::move(c));
@@ -529,19 +532,9 @@ void Server::sweep_ready_handles(Session& s) {
   for (const uint64_t tag : s.ready_tags()) {
     Session::LiveJob* job = s.find_job(tag);
     if (job == nullptr) continue;
-    api::WorkloadResult r = job->handle.get();
-    Completion c;
-    c.code = r.error.code;
-    c.message = r.error.message;
-    if (r.ok()) {
-      c.result.cycles = r.stats.cycles;
-      c.result.advance_cycles = r.stats.advance_cycles;
-      c.result.stall_cycles = r.stats.stall_cycles;
-      c.result.macs = r.stats.macs;
-      c.result.fma_ops = r.stats.fma_ops;
-      c.result.z_hash = r.z_hash;
-    }
-    deliver_terminal(s, tag, c);
+    const api::WorkloadResult r = job->handle.get();
+    deliver_terminal(s, tag,
+                     {s.id(), tag, r.error.code, r.error.message, result_of(r)});
   }
 }
 

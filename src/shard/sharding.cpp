@@ -12,8 +12,6 @@ namespace {
 using cluster::NetworkRunner;
 using core::MatrixF16;
 
-uint32_t pad_even(uint32_t v) { return v + (v & 1u); }
-
 /// Ceiling-divide a byte count by the link bandwidth into whole cycles.
 uint64_t transfer_cycles(uint64_t bytes) {
   return (bytes + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;

@@ -1,15 +1,16 @@
 /// \file network.hpp
-/// \brief Multi-layer network description and its bit-exact GEMM lowering.
+/// \brief The paper's network -- a ReLU-chained linear autoencoder -- and its
+/// bit-exact GEMM lowering.
 ///
 /// The paper's headline use case (§III-B) is not a single GEMM but a whole
-/// training step of the TinyMLPerf autoencoder: a chain of forward/backward
-/// matmuls with activations flowing between layers. NetworkGraph describes
-/// such a chain -- fully-connected layers (optional bias + ReLU) plus
-/// convolutions admitted through the existing im2col lowering -- and this
-/// module defines the *lowering contract* every executor of the chain
-/// follows, so the cycle-accurate cluster executor
-/// (cluster/network_runner.hpp), the per-layer monolithic driver path, and
-/// the golden reference here all produce bit-identical FP16 results.
+/// training step of the TinyMLPerf autoencoder: a chain of fully connected
+/// FP16 GEMMs with activations flowing between layers. NetworkGraph describes
+/// exactly that shape -- a chain of weight matrices with ReLU between
+/// consecutive layers and none after the last, no bias -- and this module
+/// defines the *lowering contract* every executor of the chain follows, so
+/// the cycle-accurate cluster executor (cluster/network_runner.hpp), the
+/// per-layer monolithic driver path, and the golden reference here all
+/// produce bit-identical FP16 results.
 ///
 /// The lowering contract (batch B, padded batch Bp = B rounded up to even;
 /// every dimension that becomes a DMA row length is likewise rounded up to
@@ -20,29 +21,20 @@
 ///     the array's zero-padding FMAs (golden_gemm_padded) -- pad rows/columns
 ///     are zero, so they contribute only fma(+-0, ...) steps that both the
 ///     hardware and the golden execute identically.
-///  2. Bias (when present) is added to the *real* region only (r < out,
-///     c < B): pre[r][c] := fp16_add(pre[r][c], bias[r]). Pad columns stay
-///     exactly +0 so the batch-padded dW reduction below adds only zero
-///     products.
-///  3. ReLU between layers: A_{l+1} := relu(pre_l), with
-///     relu(v) = (v < 0 ? +0 : v). Note -0 and NaN pass through, matching
-///     both the FP16 comparison (Float16::lt) and the double-precision
-///     mirror (to_double < 0.0) bit-for-bit.
-///  4. Convolutions lower to the same primitive: the activation column
-///     (B == 1) is reshaped to (C x H*W), expanded with im2col to the patch
-///     matrix (C*k*k x oh*ow), and the filter GEMM (out_ch x oh*ow) output
-///     is flattened row-major back into the next activation column.
-///  5. Training step (linear chains): dY = fp16(out - target) on the real
-///     region; per layer, dW_l = dY * A_l^T (reduction over Bp) and
+///  2. ReLU between layers: A_{l+1} := relu(pre_l) for every layer but the
+///     last, with relu(v) = (v < 0 ? +0 : v); the last layer's pre-activation
+///     is the network output. Note -0 and NaN pass through, matching both
+///     the FP16 comparison (Float16::lt) and the double-precision mirror
+///     (to_double < 0.0) bit-for-bit.
+///  3. Training step: dY = fp16(out - target) on the real region (pad
+///     columns stay exactly +0, so the batch-padded dW reduction adds only
+///     zero products); per layer, dW_l = dY * A_l^T (reduction over Bp) and
 ///     dX_l = Wp_l^T * dY (reduction over outp), dX masked to +0 where the
 ///     *pre-activation* was < 0; optional SGD update
 ///     w := fp16_sub(w, fp16(lr/B * dw)), the rule apply_sgd_update applies.
 ///
-/// Elementwise FP16 rules and their double-precision golden mirrors are
-/// defined below; both are exact: FP16 add/sub of two FP16 values is a
-/// single rounding of a sum that binary64 represents exactly, so
-/// fp16_add(a, b) == fp16(a.to_double() + b.to_double()) for every operand
-/// pair (asserted in tests/cluster/test_network_runner.cpp).
+/// The ReLU rule has a double-precision golden mirror defined below; both are
+/// exact (asserted exhaustively in tests/cluster/test_network_runner.cpp).
 #pragma once
 
 #include <cstdint>
@@ -55,11 +47,10 @@
 #include "core/config.hpp"
 #include "workloads/autoencoder.hpp"
 #include "workloads/gemm.hpp"
-#include "workloads/lowering.hpp"
 
 namespace redmule::workloads {
 
-// --- Elementwise rules (FP16) and their double-precision golden mirrors ----
+// --- ReLU (FP16) and its double-precision golden mirror --------------------
 
 /// ReLU: strictly negative values become +0; -0 and NaN pass through.
 inline fp16::Float16 relu_f16(fp16::Float16 v) {
@@ -71,47 +62,23 @@ inline fp16::Float16 relu_golden(fp16::Float16 v) {
   return v.to_double() < 0.0 ? fp16::Float16{} : v;
 }
 
-/// Bias add: one correctly-rounded FP16 addition.
-inline fp16::Float16 bias_add_f16(fp16::Float16 v, fp16::Float16 b) {
-  return fp16::Float16::add(v, b);
-}
-/// Double-precision mirror of bias_add_f16 (the binary64 sum of two FP16
-/// values is exact, so the single rounding back to FP16 is the FP16 add).
-inline fp16::Float16 bias_add_golden(fp16::Float16 v, fp16::Float16 b) {
-  return fp16::Float16::from_double(v.to_double() + b.to_double());
-}
-
 // --- Network description ---------------------------------------------------
 
-/// One layer of a sequential network. Linear layers carry an (out x in)
-/// weight matrix; conv layers carry (out_ch x C*k*k) row-major filters and
-/// lower onto the GEMM primitive via im2col (forward-only, batch 1).
+/// One linear layer: an (out x in) weight matrix.
 struct NetworkLayer {
-  enum class Kind { kLinear, kConv };
-  Kind kind = Kind::kLinear;
-  MatrixF16 weight;                 ///< linear: (out x in); conv: flattened filters
-  std::vector<fp16::Float16> bias;  ///< empty, or one entry per GEMM output row
-  bool relu = false;                ///< apply ReLU after this layer
-  Conv2dParams conv{};              ///< valid when kind == kConv
+  MatrixF16 weight;
 
   /// Activation-vector length this layer consumes / produces.
-  uint32_t in_dim() const;
-  uint32_t out_dim() const;
-  /// The lowered forward GEMM: m = rows of the output, n = reduction,
-  /// k = columns (batch for linear layers, oh*ow for conv layers).
-  GemmShape forward_shape(uint32_t batch) const;
+  uint32_t in_dim() const { return static_cast<uint32_t>(weight.cols()); }
+  uint32_t out_dim() const { return static_cast<uint32_t>(weight.rows()); }
 };
 
-/// A sequential network: the workload description the executors consume.
-/// Layers must chain (layer l+1's in_dim == layer l's out_dim); conv layers
-/// are admitted anywhere in forward-only networks but training requires a
-/// pure linear chain (the autoencoder case).
+/// A chain of linear layers with ReLU between consecutive layers and none
+/// after the last: the workload description the executors consume. Layers
+/// must chain (layer l+1's in_dim == layer l's out_dim).
 class NetworkGraph {
  public:
-  NetworkGraph& add_linear(MatrixF16 weight, bool relu = false,
-                           std::vector<fp16::Float16> bias = {});
-  NetworkGraph& add_conv(const Conv2dParams& p, MatrixF16 filters,
-                         bool relu = false, std::vector<fp16::Float16> bias = {});
+  NetworkGraph& add_linear(MatrixF16 weight);
 
   size_t n_layers() const { return layers_.size(); }
   const NetworkLayer& layer(size_t l) const { return layers_.at(l); }
@@ -120,17 +87,16 @@ class NetworkGraph {
 
   uint32_t input_dim() const;
   uint32_t output_dim() const;
-  bool has_conv() const;
 
   /// Useful MACs of the lowered GEMM chains (real, unpadded extents).
   uint64_t forward_macs(uint32_t batch) const;
   uint64_t training_macs(uint32_t batch) const;
 
-  /// The TinyMLPerf autoencoder as a NetworkGraph: ReLU between layers (not
-  /// after the last), no bias. Layer l's (d[l+1] x d[l]) weights are drawn
-  /// from \p rng in layer order, uniform in +-sqrt(2 / d[l]) (He-style,
-  /// scaled for FP16 range). reference_forward / reference_training_step
-  /// over this graph are the functional model of the paper's use case.
+  /// The TinyMLPerf autoencoder as a NetworkGraph. Layer l's (d[l+1] x d[l])
+  /// weights are drawn from \p rng in layer order, uniform in
+  /// +-sqrt(2 / d[l]) (He-style, scaled for FP16 range). reference_forward /
+  /// reference_training_step over this graph are the functional model of the
+  /// paper's use case.
   static NetworkGraph autoencoder(const AutoencoderConfig& cfg, Xoshiro256& rng);
 
  private:
@@ -139,7 +105,7 @@ class NetworkGraph {
 
 // --- Golden reference executor ---------------------------------------------
 // Executes the lowering contract above with golden_gemm_padded for every
-// GEMM and the double-precision elementwise mirrors, so its outputs are
+// GEMM and the double-precision ReLU mirror, so its outputs are
 // bit-identical to the cycle-accurate cluster executor for the same
 // geometry. This is the oracle test_network_runner and bench_network
 // compare against.
@@ -153,7 +119,7 @@ using GemmFn = std::function<MatrixF16(const MatrixF16& x, const MatrixF16& w)>;
 
 struct NetworkForwardRef {
   std::vector<MatrixF16> pre;  ///< per-layer pre-activation outputs (unpadded)
-  MatrixF16 out;  ///< last layer's output (== pre.back() unless it has relu set)
+  MatrixF16 out;  ///< the network output (== pre.back(): no final ReLU)
 };
 NetworkForwardRef reference_forward(const NetworkGraph& net, const MatrixF16& x,
                                     const core::Geometry& g, GemmFn gemm = {});

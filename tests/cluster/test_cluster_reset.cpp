@@ -31,10 +31,10 @@ struct JobOutcome {
   core::MatrixF16 z;
 };
 
-// One full GEMM with inputs drawn from \p seed; the cluster/driver pair must
-// be in the fresh (or freshly reset) state.
-JobOutcome run_job(Cluster& cl, RedmuleDriver& drv, uint64_t seed, uint32_t m,
-                   uint32_t n, uint32_t k) {
+// One full GEMM with inputs drawn from \p seed on \p drv's cluster, which
+// must be in the fresh (or freshly reset) state.
+JobOutcome run_job(RedmuleDriver& drv, uint64_t seed, uint32_t m, uint32_t n,
+                   uint32_t k) {
   Xoshiro256 rng(seed);
   const auto x = workloads::random_matrix(m, n, rng);
   const auto w = workloads::random_matrix(n, k, rng);
@@ -45,7 +45,7 @@ JobOutcome run_job(Cluster& cl, RedmuleDriver& drv, uint64_t seed, uint32_t m,
 JobOutcome run_on_fresh_cluster(uint64_t seed, uint32_t m, uint32_t n, uint32_t k) {
   Cluster cl{ClusterConfig{}};
   RedmuleDriver drv(cl);
-  return run_job(cl, drv, seed, m, n, k);
+  return run_job(drv, seed, m, n, k);
 }
 
 void expect_same(const JobOutcome& a, const JobOutcome& b, const char* what) {
@@ -70,7 +70,7 @@ TEST(ClusterReset, BackToBackJobsMatchFreshClusters) {
     const auto [m, n, k] = shapes[i];
     const uint64_t seed = split_seed(11, i);
     drv.reset();
-    const JobOutcome reused = run_job(cl, drv, seed, m, n, k);
+    const JobOutcome reused = run_job(drv, seed, m, n, k);
     const JobOutcome fresh = run_on_fresh_cluster(seed, m, n, k);
     expect_same(reused, fresh, "reused cluster vs fresh cluster");
   }
@@ -106,7 +106,7 @@ TEST(ClusterReset, ResetAfterAbortedJobMatchesFresh) {
   EXPECT_FALSE(cl.redmule().busy());
   EXPECT_EQ(cl.cycle(), 0u);
 
-  const JobOutcome after_abort = run_job(cl, drv, split_seed(11, 0), 32, 32, 32);
+  const JobOutcome after_abort = run_job(drv, split_seed(11, 0), 32, 32, 32);
   const JobOutcome fresh = run_on_fresh_cluster(split_seed(11, 0), 32, 32, 32);
   expect_same(after_abort, fresh, "post-abort reset vs fresh cluster");
 }
@@ -116,7 +116,7 @@ TEST(ClusterReset, ResetRestoresMemoriesCountersAndAllocator) {
   RedmuleDriver drv(cl);
   const uint32_t free_at_start = drv.bytes_free();
 
-  (void)run_job(cl, drv, 5, 16, 16, 16);
+  (void)run_job(drv, 5, 16, 16, 16);
   EXPECT_LT(drv.bytes_free(), free_at_start);
   EXPECT_GT(cl.cycle(), 0u);
   EXPECT_GT(cl.hci().shallow_grants(), 0u);
@@ -139,10 +139,10 @@ TEST(ClusterReset, RepeatedIdenticalJobsOnOneInstanceAreIdentical) {
   Cluster cl{ClusterConfig{}};
   RedmuleDriver drv(cl);
   drv.reset();
-  const JobOutcome first = run_job(cl, drv, 21, 24, 20, 40);
+  const JobOutcome first = run_job(drv, 21, 24, 20, 40);
   for (int rep = 0; rep < 3; ++rep) {
     drv.reset();
-    const JobOutcome again = run_job(cl, drv, 21, 24, 20, 40);
+    const JobOutcome again = run_job(drv, 21, 24, 20, 40);
     expect_same(again, first, "repeat on reused instance");
   }
 }
@@ -248,7 +248,7 @@ TEST(ClusterReset, ForkedClusterMatchesFreshlyStagedCluster) {
   Cluster reused{ClusterConfig{}};
   {
     RedmuleDriver drv(reused);
-    (void)run_job(reused, drv, split_seed(44, 2), 16, 16, 16);  // prior history
+    (void)run_job(drv, split_seed(44, 2), 16, 16, 16);  // prior history
   }
   state::restore(reused, img);
   const TrainingOutcome forked = run_staged_training(reused);
