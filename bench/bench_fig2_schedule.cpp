@@ -44,8 +44,11 @@ int main() {
         Row& row = timeline[cl.cycle()];
         for (unsigned c = 0; c < 2; ++c) {
           if (!issues[c].active) continue;
-          row.col[c] = "t" + std::to_string(issues[c].tag.trav) + ".j" +
-                       std::to_string(issues[c].tag.tau);
+          std::string cell = "t";
+          cell += std::to_string(issues[c].tag.trav);
+          cell += ".j";
+          cell += std::to_string(issues[c].tag.tau);
+          row.col[c] = std::move(cell);
           if (issues[c].first_traversal) row.col[c] += " acc=0";
           else if (c == 0) row.col[c] += " <-fb";
         }

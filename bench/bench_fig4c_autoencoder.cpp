@@ -15,7 +15,7 @@ int main() {
 
   workloads::AutoencoderConfig cfg;  // 640-128^4-8-128^4-640
   cfg.batch = 1;
-  const auto gemms = workloads::autoencoder_training_gemms(cfg);
+  const auto gemms = workloads::training_step_gemms(cfg.dims(), cfg.batch);
 
   TablePrinter t({"Layer.phase", "M", "N", "K", "HW cycles", "SW cycles", "Speedup"});
   uint64_t hw_total = 0, sw_total = 0, hw_fw = 0, sw_fw = 0, hw_bw = 0, sw_bw = 0;

@@ -18,7 +18,7 @@ int main() {
   for (uint32_t b : {1u, 2u, 4u, 8u, 16u}) {
     workloads::AutoencoderConfig cfg;
     cfg.batch = b;
-    const auto gemms = workloads::autoencoder_training_gemms(cfg);
+    const auto gemms = workloads::training_step_gemms(cfg.dims(), cfg.batch);
     uint64_t hw_cycles = 0, sw_cycles = 0, macs = 0;
     for (const auto& ge : gemms) {
       hw_cycles += run_hw(ge.shape, 21).cycles;

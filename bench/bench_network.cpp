@@ -56,15 +56,10 @@ workloads::AutoencoderConfig net_config(bool smoke, uint32_t batch) {
 /// the executor under test.
 workloads::GemmFn monolithic_gemm(const core::Geometry& g) {
   return [g](const core::MatrixF16& x, const core::MatrixF16& w) {
-    cluster::ClusterConfig cfg;
-    cfg.geometry = g;
-    while (cfg.tcdm.n_banks < cfg.geometry.mem_ports()) cfg.tcdm.n_banks *= 2;
-    const uint64_t need =
-        2ull * (x.rows() * x.cols() + x.cols() * w.cols() + x.rows() * w.cols()) +
-        4096;
-    while (static_cast<uint64_t>(cfg.tcdm.size_bytes()) < need)
-      cfg.tcdm.words_per_bank *= 2;
-    cluster::Cluster cl(cfg);
+    const workloads::GemmShape s{"", static_cast<uint32_t>(x.rows()),
+                                 static_cast<uint32_t>(x.cols()),
+                                 static_cast<uint32_t>(w.cols())};
+    cluster::Cluster cl(gemm_cluster_config(s, g));
     cluster::RedmuleDriver drv(cl);
     return drv.gemm(x, w).z;
   };

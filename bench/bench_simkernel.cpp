@@ -66,13 +66,7 @@ KernelRun run_timed(const core::Geometry& g, const workloads::GemmShape& s,
                     bool fast_kernel, double min_window_s,
                     bool armed_checkpoints = false) {
   fp16::set_fast_fma_enabled(fast_kernel);
-  cluster::ClusterConfig cfg;
-  cfg.geometry = g;
-  while (cfg.tcdm.n_banks < g.mem_ports()) cfg.tcdm.n_banks *= 2;
-  const uint64_t need = s.bytes() + 4096;
-  while (static_cast<uint64_t>(cfg.tcdm.size_bytes()) < need)
-    cfg.tcdm.words_per_bank *= 2;
-  cluster::Cluster cl(cfg);
+  cluster::Cluster cl(gemm_cluster_config(s, g));
   cl.sim().set_idle_skipping(fast_kernel);
   // Armed-but-inert RunControl: the deadline is unreachable, so every
   // checkpoint polls and returns. This prices the robustness layer's worst

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "api/service.hpp"
+#include "api/workload.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/driver.hpp"
 #include "cluster/sw_gemm.hpp"
@@ -25,29 +27,27 @@
 namespace redmule::bench {
 
 /// Runs one GEMM on the accelerator in a fresh cluster; returns its counters.
+/// This is the `gemm` workload itself (api::GemmWorkload through
+/// Service::run_one): operands drawn from \p seed, TCDM sized to the
+/// problem, banks widened for wide geometries.
 inline core::JobStats run_hw(const workloads::GemmShape& s, uint64_t seed = 1,
-                             cluster::ClusterConfig cfg = {}) {
-  // Size the TCDM to the problem (bank count stays 16: contention behaviour
-  // is unchanged; see EXPERIMENTS.md on capacity).
-  const uint64_t need = s.bytes() + 4096;
-  while (static_cast<uint64_t>(cfg.tcdm.size_bytes()) < need)
-    cfg.tcdm.words_per_bank *= 2;
-  cluster::Cluster cl(cfg);
-  cluster::RedmuleDriver drv(cl);
-  Xoshiro256 rng(seed);
-  const auto x = workloads::random_matrix(s.m, s.n, rng);
-  const auto w = workloads::random_matrix(s.n, s.k, rng);
-  return drv.gemm(x, w).stats;
+                             const cluster::ClusterConfig& cfg = {}) {
+  api::GemmWorkload w({s, cfg.geometry, seed});
+  const api::WorkloadResult r = api::Service::run_one(w, cfg, false);
+  REDMULE_REQUIRE(r.ok(), "bench GEMM failed: " + r.error.to_string());
+  return r.stats;
+}
+
+/// The cluster config the `gemm` workload resolves for shape \p s on \p g.
+inline cluster::ClusterConfig gemm_cluster_config(const workloads::GemmShape& s,
+                                                  const core::Geometry& g = {}) {
+  return api::resolve_cluster_config({}, api::GemmWorkload({s, g}).requirements());
 }
 
 /// Runs the same GEMM on \p n_cores ISS cores (software baseline).
 inline cluster::SwGemmStats run_sw(const workloads::GemmShape& s, uint64_t seed = 1,
-                                   unsigned n_cores = 8,
-                                   cluster::ClusterConfig cfg = {}) {
-  const uint64_t need = s.bytes() + 4096;
-  while (static_cast<uint64_t>(cfg.tcdm.size_bytes()) < need)
-    cfg.tcdm.words_per_bank *= 2;
-  cluster::Cluster cl(cfg);
+                                   unsigned n_cores = 8) {
+  cluster::Cluster cl(gemm_cluster_config(s));
   cluster::RedmuleDriver drv(cl);
   Xoshiro256 rng(seed);
   const auto x = workloads::random_matrix(s.m, s.n, rng);

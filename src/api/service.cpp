@@ -303,9 +303,6 @@ void Service::run_job(ClusterPool& pool, Pending& job) {
          attempt < job.max_retries &&
          !job.cancel->load(std::memory_order_relaxed)) {
     ++attempt;
-    if (cfg_.retry_backoff_ms != 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          cfg_.retry_backoff_ms << (attempt - 1)));
     res = execute(pool, job, static_cast<int32_t>(attempt), counters);
   }
   const cluster::TimingCache::Counters& tc1 = pool.timing_cache().counters();

@@ -89,10 +89,6 @@ struct ServiceConfig {
   QueueFullPolicy queue_full_policy = QueueFullPolicy::kReject;
   /// Applied to jobs whose SubmitOptions carry no deadline of their own.
   Deadline default_deadline{};
-  /// Wall-clock backoff before the first retry, doubled per further attempt
-  /// (0 = retry immediately). Purely host-side pacing: simulated results are
-  /// unaffected either way.
-  uint64_t retry_backoff_ms = 0;
   cluster::ClusterConfig base; ///< geometry/TCDM/L2 grown per workload
 };
 

@@ -1,6 +1,7 @@
 #include "cluster/network_runner.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace redmule::cluster {
 
@@ -29,30 +30,16 @@ std::vector<LayerGeom> layer_geoms(const std::vector<uint32_t>& dims) {
   return geoms;
 }
 
-std::vector<LayerGeom> layer_geoms(const NetworkGraph& net) {
-  std::vector<uint32_t> dims{net.input_dim()};
-  for (const workloads::NetworkLayer& l : net.layers()) dims.push_back(l.out_dim());
-  return layer_geoms(dims);
-}
-
-/// One lowered GEMM of a layer: its real shape (named "L<l>.fw|dW|dX") and
-/// the padded extents its tiled plan covers -- fw m x pad(n) x Bp,
-/// dW m x Bp x pad(n), dX n x pad(m) x Bp. The one formula a run plans with
-/// and min_tcdm_bytes sizes with, so TCDM sizing cannot drift from a run.
-struct PhaseGemm {
-  workloads::GemmShape shape;
+/// The extents a lowered GEMM's tiled plan covers: its real shape with the
+/// reduction (n) and column (k) extents padded to even, per the lowering
+/// contract. One rule for fw, dW and dX alike; every run plans with it and
+/// min_tcdm_bytes sizes with it, so TCDM sizing cannot drift from a run.
+struct StagedExtents {
   uint32_t m = 0, n = 0, k = 0;
 };
 
-PhaseGemm phase_gemm(const LayerGeom& g, size_t l, AeGemm::Phase phase,
-                     uint32_t batch) {
-  const uint32_t bp = pad_even(batch);
-  const std::string name = 'L' + std::to_string(l);
-  if (phase == AeGemm::Phase::kForward)
-    return {{name + ".fw", g.m, g.n, batch}, g.m, pad_even(g.n), bp};
-  if (phase == AeGemm::Phase::kGradWeight)
-    return {{name + ".dW", g.m, batch, g.n}, g.m, bp, pad_even(g.n)};
-  return {{name + ".dX", g.n, g.m, batch}, g.n, pad_even(g.m), bp};
+StagedExtents staged_extents(const workloads::GemmShape& s) {
+  return {s.m, pad_even(s.n), pad_even(s.k)};
 }
 
 /// Word-aligned bump allocation of (rows x cols) FP16 regions from \p base.
@@ -203,29 +190,24 @@ void stage_layers(mem::L2Memory& l2, const NetworkGraph& net,
   }
 }
 
-/// Issues the lowered GEMMs of one network run on one cluster and records
-/// each as a NetworkGemmStats entry of \p stats: its useful MACs are added
-/// to stats.macs, and stats.total_cycles spans from construction to the
-/// end of the latest GEMM.
+/// Issues training-step plan entries (workloads::training_step_gemms) on one
+/// cluster and records each as a NetworkGemmStats entry of \p stats: its
+/// useful MACs are added to stats.macs, and stats.total_cycles spans from
+/// construction to the end of the latest GEMM.
 class GemmRecorder {
  public:
   GemmRecorder(Cluster& cl, RedmuleDriver& drv, NetworkStats& stats)
       : cl_(cl), drv_(drv), tiled_(cl, drv), stats_(stats),
         cycle0_(cl.cycle()) {}
 
-  /// Plans and runs layer \p l's \p phase GEMM over resident L2 operands,
+  /// Plans and runs entry \p e over the resident L2 operands \p addrs,
   /// records it, then polls the run control. \p has_y is explicit because
   /// y_addr == 0 is a real region when the L2 base address is 0.
-  void run(const LayerGeom& g, size_t l, AeGemm::Phase phase, uint32_t batch,
-           const StagedGemm& addrs, bool has_y) {
-    const PhaseGemm e = phase_gemm(g, l, phase, batch);
-    NetworkGemmStats gs;
-    gs.layer = static_cast<unsigned>(l);
-    gs.phase = phase;
-    gs.shape = e.shape;
+  void run(const AeGemm& e, const StagedGemm& addrs, bool has_y) {
+    const StagedExtents x = staged_extents(e.shape);
     const TiledGemmPlan plan = workloads::plan_tiled_gemm(
-        e.m, e.n, e.k, has_y, drv_.bytes_free(), cl_.config().geometry);
-    gs.tiled = tiled_.run_staged(addrs, plan);
+        x.m, x.n, x.k, has_y, drv_.bytes_free(), cl_.config().geometry);
+    NetworkGemmStats gs{e, tiled_.run_staged(addrs, plan)};
     gs.tiled.macs = gs.shape.macs();  // useful MACs, not the padded grid's
     stats_.macs += gs.tiled.macs;
     stats_.gemms.push_back(std::move(gs));
@@ -253,19 +235,18 @@ void apply_relu(mem::L2Memory& l2, uint32_t pre_addr, uint32_t act_addr,
 
 /// The forward walk over a staged layout, activations kept resident per
 /// layer: the ONE implementation forward() and training run, so the
-/// elementwise contract cannot drift between them. Every layer runs one GEMM
-/// and, but for the last, ReLU into its act buffer. Returns the output's
-/// address.
+/// elementwise contract cannot drift between them. Runs the plan's forward
+/// prefix \p fw, each GEMM followed, but for the last layer's, by ReLU into
+/// its act buffer. Returns the output's address.
 uint32_t run_forward(mem::L2Memory& l2, GemmRecorder& gemms,
+                     std::span<const AeGemm> fw,
                      const std::vector<LayerGeom>& geoms, const Layout& lay,
-                     uint32_t batch) {
-  const uint32_t bp = pad_even(batch);
+                     uint32_t bp) {
   uint32_t cur_act = lay.input;
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    const LayerGeom& g = geoms[l];
-    const LayerAddrs& a = lay.layers[l];
-    gemms.run(g, l, AeGemm::Phase::kForward, batch,
-              {a.weight, cur_act, a.pre, 0}, /*has_y=*/false);
+  for (const AeGemm& e : fw) {
+    const LayerGeom& g = geoms[e.layer];
+    const LayerAddrs& a = lay.layers[e.layer];
+    gemms.run(e, {a.weight, cur_act, a.pre, 0}, /*has_y=*/false);
     if (g.relu) apply_relu(l2, a.pre, a.act, pad_even(g.m), bp);
     cur_act = a.act;
   }
@@ -281,8 +262,9 @@ struct TrainingRun {
 };
 
 /// The one training executor, over an L2 holding the template staged by
-/// stage_training_template(): stages the per-job input, runs the forward
-/// walk, the MSE loss gradient and the backward walk. With \p capture null
+/// stage_training_template(): stages the per-job input, then runs the
+/// entries of workloads::training_step_gemms in order -- the forward walk,
+/// the MSE loss gradient, the backward walk. With \p capture null
 /// every dW GEMM runs in place into the layer's resident dW region.
 /// Otherwise each dW GEMM is skipped and the padded L2 bits it would read
 /// -- dY as its (m x Bp) X operand, the input activation whose transpose is
@@ -301,16 +283,19 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
 
   auto& l2 = cl.l2();
   TrainingRun run;
-  run.geoms = layer_geoms(net);
+  const std::vector<uint32_t> dims = net.dims();
+  run.geoms = layer_geoms(dims);
   run.lay = layout_checked(l2, run.geoms, batch, /*training=*/true);
   const std::vector<LayerGeom>& geoms = run.geoms;
   const Layout& lay = run.lay;
   NetworkRunner::TrainingResult& res = run.res;
+  const std::vector<AeGemm> plan = workloads::training_step_gemms(dims, batch);
+  const std::span<const AeGemm> fw = std::span(plan).first(geoms.size());
 
   // --- Stage the per-job input; the template staged everything else --------
   write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().n), bp));
   GemmRecorder gemms(cl, drv, res.stats);
-  run_forward(l2, gemms, geoms, lay, batch);
+  run_forward(l2, gemms, fw, geoms, lay, bp);
 
   // --- MSE loss gradient: dY = fp16(out - target) on the real region -------
   const LayerGeom& gl = geoms.back();
@@ -327,7 +312,8 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
   write_mat(l2, lay.dy0, dy);
   res.out = strip_to(out, gl.m, batch);
 
-  // --- Backward: dW_l = dY * A_l^T, dX_l = W_l^T * dY ----------------------
+  // --- Backward: the plan's remaining entries, per layer from the last:
+  // dW_l = dY * A_l^T, then (but for layer 0) dX_l = W_l^T * dY ----------
   if (capture) {
     capture->batch = batch;
     capture->padded_batch = bp;
@@ -335,26 +321,27 @@ TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
     capture->act.resize(geoms.size());
   }
   uint32_t dy_cur = lay.dy0, dy_next = lay.dy1;
-  for (size_t li = geoms.size(); li-- > 0;) {
+  for (const AeGemm& e : std::span(plan).subspan(fw.size())) {
+    const size_t li = e.layer;
     const LayerGeom& g = geoms[li];
     const uint32_t inp = pad_even(g.n);
-    const uint32_t act_in = li == 0 ? lay.input : lay.layers[li - 1].act;
-    MatrixF16 act = read_mat(l2, act_in, inp, bp);
-    if (capture) {
-      capture->dy[li] = read_mat(l2, dy_cur, g.m, bp);
-      capture->act[li] = std::move(act);
-    } else {
-      // A_l^T staged into the scratch region (a transpose of the resident
-      // padded activation; on the real cluster MCHAN's 2-D strides gather
-      // it, here it moves through the zero-time backdoor like all staging).
-      write_mat(l2, lay.act_t, act.transposed());  // (bp x inp)
-      gemms.run(g, li, AeGemm::Phase::kGradWeight, batch,
-                {dy_cur, lay.act_t, lay.layers[li].dw, 0}, /*has_y=*/false);
+    if (e.phase == AeGemm::Phase::kGradWeight) {
+      const uint32_t act_in = li == 0 ? lay.input : lay.layers[li - 1].act;
+      MatrixF16 act = read_mat(l2, act_in, inp, bp);
+      if (capture) {
+        capture->dy[li] = read_mat(l2, dy_cur, g.m, bp);
+        capture->act[li] = std::move(act);
+      } else {
+        // A_l^T staged into the scratch region (a transpose of the resident
+        // padded activation; on the real cluster MCHAN's 2-D strides gather
+        // it, here it moves through the zero-time backdoor like all staging).
+        write_mat(l2, lay.act_t, act.transposed());  // (bp x inp)
+        gemms.run(e, {dy_cur, lay.act_t, lay.layers[li].dw, 0}, /*has_y=*/false);
+      }
+      continue;
     }
-    if (li == 0) break;
 
-    gemms.run(g, li, AeGemm::Phase::kGradInput, batch,
-              {lay.layers[li].wt, dy_cur, dy_next, 0}, /*has_y=*/false);
+    gemms.run(e, {lay.layers[li].wt, dy_cur, dy_next, 0}, /*has_y=*/false);
     // ReLU backward (where the pre-activation was negative) plus pad-row
     // scrubbing: the alternating dY buffers are reused across layers of
     // different heights, so rows [n, inp) may hold a stale taller layer.
@@ -386,14 +373,17 @@ NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
   const uint32_t bp = pad_even(batch);
 
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = layer_geoms(net);
+  const std::vector<uint32_t> dims = net.dims();
+  const std::vector<LayerGeom> geoms = layer_geoms(dims);
   const Layout lay = layout_checked(l2, geoms, batch, /*training=*/false);
   write_mat(l2, lay.input, pad_to(x, pad_even(geoms.front().n), bp));
   stage_layers(l2, net, geoms, lay, batch, /*training=*/false);
 
+  const std::vector<AeGemm> plan = workloads::training_step_gemms(dims, batch);
   ForwardResult res;
   GemmRecorder gemms(cl_, drv_, res.stats);
-  const uint32_t out = run_forward(l2, gemms, geoms, lay, batch);
+  const uint32_t out = run_forward(l2, gemms, std::span(plan).first(geoms.size()),
+                                   geoms, lay, bp);
   res.out = strip_to(read_mat(l2, out, geoms.back().m, bp), geoms.back().m, batch);
   return res;
 }
@@ -402,7 +392,7 @@ void NetworkRunner::stage_training_template(const NetworkGraph& net,
                                             uint32_t batch) {
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = layer_geoms(net);
+  const std::vector<LayerGeom> geoms = layer_geoms(net.dims());
   const Layout lay = layout_checked(l2, geoms, batch, /*training=*/true);
   stage_layers(l2, net, geoms, lay, batch, /*training=*/true);
 }
@@ -445,29 +435,27 @@ NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
 
 DwAccumulator::DwAccumulator(Cluster& cluster, RedmuleDriver& driver,
                              const NetworkGraph& net, uint32_t max_padded_batch)
-    : cl_(cluster), drv_(driver), max_padded_batch_(max_padded_batch) {
+    : cl_(cluster), drv_(driver), dims_(net.dims()),
+      max_padded_batch_(max_padded_batch) {
   REDMULE_REQUIRE(max_padded_batch >= 2 && max_padded_batch % 2 == 0,
                   "padded batch must be even and positive");
 
   auto& l2 = cl_.l2();
-  const std::vector<LayerGeom> geoms = layer_geoms(net);
+  const std::vector<LayerGeom> geoms = layer_geoms(dims_);
   const AccLayout lay =
       build_acc_layout(geoms, max_padded_batch, l2.config().base_addr);
   require_fits(l2, lay.total_bytes, "gradient-reduction");
-  for (size_t l = 0; l < geoms.size(); ++l) {
-    const LayerGeom& g = geoms[l];
-    layers_.push_back(LayerSlot{g.m, g.n, lay.dw[l]});
-    zero_region(l2, lay.dw[l], g.m, pad_even(g.n));
-    gradient_bytes_ += static_cast<uint64_t>(g.m) * pad_even(g.n) * 2;
-  }
+  for (size_t l = 0; l < geoms.size(); ++l)
+    zero_region(l2, lay.dw[l], geoms[l].m, pad_even(geoms[l].n));
+  dw_addrs_ = lay.dw;
   dy_addr_ = lay.dy;
   act_t_addr_ = lay.act_t;
 }
 
 NetworkStats DwAccumulator::accumulate(
     const NetworkRunner::SliceBackward& grads, bool first) {
-  REDMULE_REQUIRE(grads.dy.size() == layers_.size() &&
-                      grads.act.size() == layers_.size(),
+  REDMULE_REQUIRE(grads.dy.size() == dw_addrs_.size() &&
+                      grads.act.size() == dw_addrs_.size(),
                   "slice layer count mismatch");
   const uint32_t sp = grads.padded_batch;
   REDMULE_REQUIRE(sp == pad_even(grads.batch) && sp >= 2 &&
@@ -478,12 +466,14 @@ NetworkStats DwAccumulator::accumulate(
   NetworkStats stats;
   GemmRecorder gemms(cl_, drv_, stats);
 
-  // Same descending-layer order as training_step's backward walk.
-  for (size_t li = layers_.size(); li-- > 0;) {
-    const LayerSlot& s = layers_[li];
-    REDMULE_REQUIRE(grads.dy[li].rows() == s.m && grads.dy[li].cols() == sp,
+  // The step plan's dW entries at the slice batch, in its order.
+  for (const AeGemm& e : workloads::training_step_gemms(dims_, grads.batch)) {
+    if (e.phase != AeGemm::Phase::kGradWeight) continue;
+    const size_t li = e.layer;
+    const uint32_t m = dims_[li + 1], n = dims_[li], dw = dw_addrs_[li];
+    REDMULE_REQUIRE(grads.dy[li].rows() == m && grads.dy[li].cols() == sp,
                     "slice dY shape mismatch");
-    REDMULE_REQUIRE(grads.act[li].rows() == pad_even(s.n) &&
+    REDMULE_REQUIRE(grads.act[li].rows() == pad_even(n) &&
                         grads.act[li].cols() == sp,
                     "slice activation shape mismatch");
     // The captured padded bits, staged verbatim: dY as the X operand, the
@@ -495,8 +485,7 @@ NetworkStats DwAccumulator::accumulate(
     // first: plain GEMM starting the chain. Otherwise the resident partial
     // preloads as Y in place (y == z), continuing the reduction exactly as
     // the monolithic chain's next H-aligned segment would.
-    gemms.run(LayerGeom{.m = s.m, .n = s.n}, li, AeGemm::Phase::kGradWeight,
-              grads.batch, {dy_addr_, act_t_addr_, s.dw, first ? 0u : s.dw},
+    gemms.run(e, {dy_addr_, act_t_addr_, dw, first ? 0u : dw},
               /*has_y=*/!first);
   }
   return stats;
@@ -505,10 +494,11 @@ NetworkStats DwAccumulator::accumulate(
 std::vector<core::MatrixF16> DwAccumulator::gradients() const {
   auto& l2 = cl_.l2();
   std::vector<core::MatrixF16> dw;
-  dw.reserve(layers_.size());
-  for (const LayerSlot& s : layers_)
-    dw.push_back(
-        strip_to(read_mat(l2, s.dw, s.m, pad_even(s.n)), s.m, s.n));
+  dw.reserve(dw_addrs_.size());
+  for (size_t l = 0; l < dw_addrs_.size(); ++l) {
+    const uint32_t m = dims_[l + 1], n = dims_[l];
+    dw.push_back(strip_to(read_mat(l2, dw_addrs_[l], m, pad_even(n)), m, n));
+  }
   return dw;
 }
 
@@ -526,16 +516,15 @@ uint64_t NetworkRunner::training_l2_bytes(const std::vector<uint32_t>& dims,
 
 uint64_t NetworkRunner::min_tcdm_bytes(const std::vector<uint32_t>& dims,
                                        uint32_t batch, const core::Geometry& g) {
-  const std::vector<LayerGeom> geoms = layer_geoms(dims);
   uint64_t need = 0;
-  for (size_t l = 0; l < geoms.size(); ++l)
-    for (const AeGemm::Phase p :
-         {AeGemm::Phase::kForward, AeGemm::Phase::kGradWeight,
-          AeGemm::Phase::kGradInput}) {
-      const PhaseGemm e = phase_gemm(geoms[l], l, p, batch);
-      need = std::max(need,
-                      workloads::min_tile_plan(e.m, e.n, e.k, false, g).tcdm_bytes());
-    }
+  const auto cover = [&](const workloads::GemmShape& s) {
+    const StagedExtents x = staged_extents(s);
+    need = std::max(need,
+                    workloads::min_tile_plan(x.m, x.n, x.k, false, g).tcdm_bytes());
+  };
+  for (const AeGemm& e : workloads::training_step_gemms(dims, batch)) cover(e.shape);
+  // Layer 0's dX never runs, but sizing has always covered it.
+  cover({"L0.dX", dims[0], dims[1], batch});
   return need;
 }
 

@@ -2,7 +2,10 @@
 /// \brief End-to-end multi-layer network executor on the tiled L2 pipeline.
 ///
 /// Executes a whole workloads::NetworkGraph forward pass -- and the full
-/// training step (forward, dX, dW, optional SGD update) -- on ONE cluster:
+/// training step (forward, dX, dW, optional SGD update) -- on ONE cluster.
+/// The GEMMs it runs are the entries of workloads::training_step_gemms, in
+/// that order (forward() runs its forward prefix); the executor adds only
+/// the L2 addresses and the elementwise steps between them:
 ///
 ///  - weights (and, for training, their transposes) are staged in L2 once
 ///    per call, padded per the lowering contract in workloads/network.hpp;
@@ -36,12 +39,11 @@
 
 namespace redmule::cluster {
 
-/// Counters of one lowered GEMM of the network execution.
-struct NetworkGemmStats {
-  unsigned layer = 0;
-  workloads::AeGemm::Phase phase = workloads::AeGemm::Phase::kForward;
-  workloads::GemmShape shape;  ///< real (unpadded) extents
-  TiledGemmStats tiled;        ///< whole-pipeline counters incl. DMA
+/// One executed GEMM of the network run: its workloads::training_step_gemms
+/// entry (layer, phase, real unpadded shape) plus the whole-pipeline
+/// counters of the tiled run, DMA included.
+struct NetworkGemmStats : workloads::AeGemm {
+  TiledGemmStats tiled;
 
   friend bool operator==(const NetworkGemmStats&, const NetworkGemmStats&) = default;
 };
@@ -145,7 +147,8 @@ class NetworkRunner {
   static uint64_t training_l2_bytes(const std::vector<uint32_t>& dims,
                                     uint32_t batch);
   /// Smallest TCDM budget that fits the minimum aligned tile set of every
-  /// lowered GEMM of that training step.
+  /// GEMM of that training step's plan, and of layer 0's dX shape (never
+  /// run, but always part of this sizing).
   static uint64_t min_tcdm_bytes(const std::vector<uint32_t>& dims,
                                  uint32_t batch, const core::Geometry& g);
 
@@ -181,10 +184,6 @@ class DwAccumulator {
   /// accumulate().
   std::vector<core::MatrixF16> gradients() const;
 
-  /// Bytes of one full resident partial-gradient set -- what a shard ships
-  /// to the reduce cluster (the cost model's per-hop payload).
-  uint64_t gradient_bytes() const { return gradient_bytes_; }
-
   /// L2 bytes the accumulator layout needs (dims as in
   /// NetworkRunner::training_l2_bytes; always <= that training layout for
   /// the same dims/batch, so training-sized pools fit it).
@@ -193,16 +192,11 @@ class DwAccumulator {
  private:
   Cluster& cl_;
   RedmuleDriver& drv_;
-  struct LayerSlot {
-    uint32_t m = 0;   ///< real output rows
-    uint32_t n = 0;   ///< real input cols
-    uint32_t dw = 0;  ///< resident partial, (m x pad_even(n))
-  };
-  std::vector<LayerSlot> layers_;
+  std::vector<uint32_t> dims_;      ///< the network's dimension chain
+  std::vector<uint32_t> dw_addrs_;  ///< per layer resident partial, (m x pad_even(n))
   uint32_t dy_addr_ = 0;     ///< scratch, (max m x max_padded_batch)
   uint32_t act_t_addr_ = 0;  ///< scratch, (max_padded_batch x max pad_even(n))
   uint32_t max_padded_batch_ = 0;
-  uint64_t gradient_bytes_ = 0;
 };
 
 }  // namespace redmule::cluster

@@ -47,15 +47,23 @@ std::vector<std::string> split_operands(const std::string& s) {
   return out;
 }
 
+/// "<prefix><i>", built by appending (GCC 12 reports a false -Wrestrict for
+/// `literal + std::string` concatenation).
+std::string numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 const std::unordered_map<std::string, uint8_t>& int_reg_names() {
   static const std::unordered_map<std::string, uint8_t> m = [] {
     std::unordered_map<std::string, uint8_t> r;
-    for (int i = 0; i < 32; ++i) r["x" + std::to_string(i)] = static_cast<uint8_t>(i);
+    for (int i = 0; i < 32; ++i) r[numbered("x", i)] = static_cast<uint8_t>(i);
     r["zero"] = 0; r["ra"] = 1; r["sp"] = 2; r["gp"] = 3; r["tp"] = 4;
     r["t0"] = 5; r["t1"] = 6; r["t2"] = 7;
     r["s0"] = 8; r["fp"] = 8; r["s1"] = 9;
-    for (int i = 0; i < 8; ++i) r["a" + std::to_string(i)] = static_cast<uint8_t>(10 + i);
-    for (int i = 2; i < 12; ++i) r["s" + std::to_string(i)] = static_cast<uint8_t>(16 + i);
+    for (int i = 0; i < 8; ++i) r[numbered("a", i)] = static_cast<uint8_t>(10 + i);
+    for (int i = 2; i < 12; ++i) r[numbered("s", i)] = static_cast<uint8_t>(16 + i);
     r["t3"] = 28; r["t4"] = 29; r["t5"] = 30; r["t6"] = 31;
     return r;
   }();
@@ -65,11 +73,11 @@ const std::unordered_map<std::string, uint8_t>& int_reg_names() {
 const std::unordered_map<std::string, uint8_t>& fp_reg_names() {
   static const std::unordered_map<std::string, uint8_t> m = [] {
     std::unordered_map<std::string, uint8_t> r;
-    for (int i = 0; i < 32; ++i) r["f" + std::to_string(i)] = static_cast<uint8_t>(i);
-    for (int i = 0; i < 8; ++i) r["ft" + std::to_string(i)] = static_cast<uint8_t>(i);
+    for (int i = 0; i < 32; ++i) r[numbered("f", i)] = static_cast<uint8_t>(i);
+    for (int i = 0; i < 8; ++i) r[numbered("ft", i)] = static_cast<uint8_t>(i);
     r["fs0"] = 8; r["fs1"] = 9;
-    for (int i = 0; i < 8; ++i) r["fa" + std::to_string(i)] = static_cast<uint8_t>(10 + i);
-    for (int i = 2; i < 12; ++i) r["fs" + std::to_string(i)] = static_cast<uint8_t>(16 + i);
+    for (int i = 0; i < 8; ++i) r[numbered("fa", i)] = static_cast<uint8_t>(10 + i);
+    for (int i = 2; i < 12; ++i) r[numbered("fs", i)] = static_cast<uint8_t>(16 + i);
     r["ft8"] = 28; r["ft9"] = 29; r["ft10"] = 30; r["ft11"] = 31;
     return r;
   }();

@@ -163,8 +163,9 @@ void Hci::tick() {
       log_blocked_by_shallow = true;
       continue;  // bank taken by the wide port this cycle; all candidates stall
     }
-    // Round-robin pick starting from the pointer.
-    unsigned pick = candidates[0];
+    // Round-robin pick starting from the pointer, wrapping to the lowest
+    // candidate, candidates[0] -- always posted_ports_[i] itself.
+    unsigned pick = posted_ports_[i];
     for (unsigned k = 0; k < n_cand; ++k) {
       if (candidates[k] >= bank_rr_[b]) {
         pick = candidates[k];

@@ -79,7 +79,6 @@ class Simulator {
   bool run_until(const std::function<bool()>& done, uint64_t max_cycles);
 
   uint64_t cycle() const { return cycle_; }
-  void reset_cycle_counter() { cycle_ = 0; }
   /// Rewinds the cycle counter and the kernel statistics (module list and
   /// skipping mode are wiring/config, not state). Part of the cluster reset
   /// path: a reused cluster starts counting like a freshly built one.

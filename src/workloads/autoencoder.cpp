@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
+
 namespace redmule::workloads {
 
 std::vector<uint32_t> AutoencoderConfig::dims() const {
@@ -21,38 +23,28 @@ const char* AeGemm::phase_name(Phase p) {
   return "?";
 }
 
-std::vector<AeGemm> autoencoder_forward_gemms(const AutoencoderConfig& cfg) {
+std::vector<AeGemm> training_step_gemms(const std::vector<uint32_t>& dims,
+                                        uint32_t batch) {
+  REDMULE_REQUIRE(dims.size() >= 2, "a network needs at least one layer");
+  const auto entry = [batch](size_t l, AeGemm::Phase phase, const char* suffix,
+                             uint32_t m, uint32_t n, uint32_t k) {
+    std::string name = "L";
+    name += std::to_string(l);
+    name += suffix;
+    return AeGemm{{std::move(name), m, n, k}, static_cast<unsigned>(l), phase};
+  };
+  const size_t n_layers = dims.size() - 1;
   std::vector<AeGemm> out;
-  const auto d = cfg.dims();
-  for (size_t l = 0; l + 1 < d.size(); ++l) {
-    AeGemm g;
-    g.layer = static_cast<unsigned>(l);
-    g.phase = AeGemm::Phase::kForward;
-    g.shape = {"L" + std::to_string(l) + ".fw", d[l + 1], d[l], cfg.batch};
-    out.push_back(g);
-  }
-  return out;
-}
-
-std::vector<AeGemm> autoencoder_training_gemms(const AutoencoderConfig& cfg) {
-  std::vector<AeGemm> out = autoencoder_forward_gemms(cfg);
-  const auto d = cfg.dims();
-  // Backward pass, last layer first.
-  for (size_t li = d.size() - 1; li-- > 0;) {
-    const uint32_t in = d[li];
-    const uint32_t outd = d[li + 1];
-    AeGemm gw;
-    gw.layer = static_cast<unsigned>(li);
-    gw.phase = AeGemm::Phase::kGradWeight;
-    gw.shape = {"L" + std::to_string(li) + ".dW", outd, cfg.batch, in};
-    out.push_back(gw);
-    if (li > 0) {  // no input gradient needed for layer 0
-      AeGemm gx;
-      gx.layer = static_cast<unsigned>(li);
-      gx.phase = AeGemm::Phase::kGradInput;
-      gx.shape = {"L" + std::to_string(li) + ".dX", in, outd, cfg.batch};
-      out.push_back(gx);
-    }
+  out.reserve(3 * n_layers - 1);
+  for (size_t l = 0; l < n_layers; ++l)
+    out.push_back(entry(l, AeGemm::Phase::kForward, ".fw", dims[l + 1], dims[l],
+                        batch));
+  for (size_t l = n_layers; l-- > 0;) {
+    out.push_back(entry(l, AeGemm::Phase::kGradWeight, ".dW", dims[l + 1], batch,
+                        dims[l]));
+    if (l > 0)
+      out.push_back(entry(l, AeGemm::Phase::kGradInput, ".dX", dims[l],
+                          dims[l + 1], batch));
   }
   return out;
 }

@@ -11,10 +11,13 @@
 /// Forward (and dX) matmuls have K = B, so at B = 1 the accelerator cannot
 /// fill its H*(P+1) pipeline slots -- the effect Fig. 4c/4d quantifies.
 ///
-/// This module provides the configuration, the *shape* lowering and the
-/// memory footprints (for the cycle benchmarks). The functional model -- He
-/// initialisation, forward pass and FP16 training step -- is
-/// NetworkGraph::autoencoder plus the reference executor in
+/// This module provides the configuration, the training-step plan and the
+/// memory footprints. training_step_gemms() is THE definition of which GEMMs
+/// a training step runs, in what order and with which real shapes: the
+/// cluster executor (cluster::NetworkRunner) runs exactly its entries, its
+/// TCDM sizing reads them, and the Fig. 4c/4d benches time them. The
+/// functional model -- He initialisation, forward pass and FP16 training
+/// step -- is NetworkGraph::autoencoder plus the reference executor in
 /// workloads/network.hpp.
 #pragma once
 
@@ -36,20 +39,26 @@ struct AutoencoderConfig {
   size_t n_layers() const { return hidden.size() + 1; }
 };
 
-/// One lowered matmul of a training step.
+/// One GEMM of a training step: layer \c layer's \c phase, with its real
+/// (unpadded) shape named "L<layer>.fw|dW|dX".
 struct AeGemm {
   GemmShape shape;
   unsigned layer = 0;
   enum class Phase { kForward, kGradInput, kGradWeight } phase = Phase::kForward;
 
+  friend bool operator==(const AeGemm&, const AeGemm&) = default;
+
   bool backward() const { return phase != Phase::kForward; }
   static const char* phase_name(Phase p);
 };
 
-/// All matmuls of one training step (forward pass then backward pass).
-std::vector<AeGemm> autoencoder_training_gemms(const AutoencoderConfig& cfg);
-/// Forward-only (inference) matmuls.
-std::vector<AeGemm> autoencoder_forward_gemms(const AutoencoderConfig& cfg);
+/// The training-step plan of the network with dimension chain \p dims at
+/// \p batch columns: the forward GEMM of every layer in layer order, then
+/// the backward pass from the last layer down -- per layer its dW, then
+/// its dX, except that layer 0 has no dX (nothing consumes it). The forward
+/// pass (inference) is the first dims.size() - 1 entries.
+std::vector<AeGemm> training_step_gemms(const std::vector<uint32_t>& dims,
+                                        uint32_t batch);
 
 /// Memory footprints (paper: B = 16 fits in 184 kB of L2 for activations).
 size_t autoencoder_weight_bytes(const AutoencoderConfig& cfg);

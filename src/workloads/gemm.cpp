@@ -17,15 +17,6 @@ MatrixF16 constant_matrix(size_t rows, size_t cols, double value) {
   return MatrixF16(rows, cols, Float16::from_double(value));
 }
 
-std::vector<GemmShape> square_sweep(std::vector<uint32_t> sizes) {
-  std::vector<GemmShape> shapes;
-  for (uint32_t s : sizes)
-    shapes.push_back({std::to_string(s) + "x" + std::to_string(s) + "x" +
-                          std::to_string(s),
-                      s, s, s});
-  return shapes;
-}
-
 std::vector<GemmShape> ragged_sweep() {
   // Sizes chosen to hit every leftover class of the default geometry
   // (L = 8 rows, H = 4 n-chunk, 16 j-slots).

@@ -38,9 +38,6 @@ struct GemmShape {
   }
 };
 
-/// Square-size sweep used by the paper's Fig. 3c/3d/4a throughput plots.
-std::vector<GemmShape> square_sweep(std::vector<uint32_t> sizes);
-
 /// Ragged shapes exercising every padding path (M % L, N % H, K % j_slots).
 std::vector<GemmShape> ragged_sweep();
 

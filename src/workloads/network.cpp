@@ -28,21 +28,10 @@ uint32_t NetworkGraph::output_dim() const {
   return layers_.back().out_dim();
 }
 
-uint64_t NetworkGraph::forward_macs(uint32_t batch) const {
-  uint64_t macs = 0;
-  for (const NetworkLayer& l : layers_)
-    macs += static_cast<uint64_t>(l.out_dim()) * l.in_dim() * batch;
-  return macs;
-}
-
-uint64_t NetworkGraph::training_macs(uint32_t batch) const {
-  uint64_t macs = forward_macs(batch);
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const uint64_t in = layers_[l].in_dim(), out = layers_[l].out_dim();
-    macs += out * static_cast<uint64_t>(batch) * in;          // dW
-    if (l > 0) macs += in * static_cast<uint64_t>(out) * batch;  // dX
-  }
-  return macs;
+std::vector<uint32_t> NetworkGraph::dims() const {
+  std::vector<uint32_t> d{input_dim()};
+  for (const NetworkLayer& l : layers_) d.push_back(l.out_dim());
+  return d;
 }
 
 NetworkGraph NetworkGraph::autoencoder(const AutoencoderConfig& cfg,

@@ -87,10 +87,8 @@ class NetworkGraph {
 
   uint32_t input_dim() const;
   uint32_t output_dim() const;
-
-  /// Useful MACs of the lowered GEMM chains (real, unpadded extents).
-  uint64_t forward_macs(uint32_t batch) const;
-  uint64_t training_macs(uint32_t batch) const;
+  /// Dimension chain: input_dim, then every layer's out_dim.
+  std::vector<uint32_t> dims() const;
 
   /// The TinyMLPerf autoencoder as a NetworkGraph. Layer l's (d[l+1] x d[l])
   /// weights are drawn from \p rng in layer order, uniform in

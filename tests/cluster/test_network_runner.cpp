@@ -40,18 +40,20 @@ void expect_bit_exact(const core::MatrixF16& got, const core::MatrixF16& ref,
 /// tiled L2-resident executor must match bit-for-bit.
 workloads::GemmFn monolithic_gemm(const core::Geometry& g) {
   return [g](const MatrixF16& x, const MatrixF16& w) {
-    ClusterConfig cfg;
-    cfg.geometry = g;
-    while (cfg.tcdm.n_banks < cfg.geometry.mem_ports()) cfg.tcdm.n_banks *= 2;
-    const uint64_t need =
-        2ull * (x.rows() * x.cols() + x.cols() * w.cols() + x.rows() * w.cols()) +
-        4096;
-    while (static_cast<uint64_t>(cfg.tcdm.size_bytes()) < need)
-      cfg.tcdm.words_per_bank *= 2;
-    Cluster cl(cfg);
+    const workloads::GemmShape s{"", static_cast<uint32_t>(x.rows()),
+                                 static_cast<uint32_t>(x.cols()),
+                                 static_cast<uint32_t>(w.cols())};
+    Cluster cl(api::resolve_cluster_config({}, api::GemmWorkload({s, g}).requirements()));
     RedmuleDriver drv(cl);
     return drv.gemm(x, w).z;
   };
+}
+
+/// Useful MACs of a list of training-step GEMMs (real, unpadded extents).
+uint64_t plan_macs(const std::vector<workloads::AeGemm>& plan) {
+  uint64_t macs = 0;
+  for (const workloads::AeGemm& e : plan) macs += e.shape.macs();
+  return macs;
 }
 
 /// A small odd-dimensioned MLP: 13 -> 10 -> 7 -> 13, ReLU on the hidden
@@ -189,7 +191,7 @@ TEST(NetworkRunner, ForwardMatchesReferenceAndMonolithic) {
     EXPECT_EQ(gs.tiled.total_cycles, kGemmCycles[l]) << "layer " << l;
   }
   EXPECT_EQ(hw.stats.total_cycles, kTotalCycles);
-  EXPECT_EQ(hw.stats.macs, net.forward_macs(5));
+  EXPECT_EQ(hw.stats.macs, (10u * 13 + 7 * 10 + 13 * 7) * 5);
 }
 
 TEST(NetworkRunner, ForwardOddBatchSizes) {
@@ -271,7 +273,8 @@ void run_training_comparison(const workloads::AutoencoderConfig& cfg, double lr,
   }
   // One GEMM per layer forward + per-layer dW + dX for all but layer 0.
   EXPECT_EQ(hw.stats.gemms.size(), 3 * cfg.n_layers() - 1);
-  EXPECT_EQ(hw.stats.macs, net_ref.training_macs(batch));
+  EXPECT_EQ(hw.stats.macs,
+            plan_macs(workloads::training_step_gemms(cfg.dims(), batch)));
   EXPECT_GT(hw.stats.total_cycles, 0u);
 }
 
@@ -346,6 +349,86 @@ TEST(NetworkRunner, SliceIsTheStepWithoutItsDwGemms) {
     for (size_t l = 0; l < dw.size(); ++l)
       expect_bit_exact(dw[l], step.dw[l], at + "dW layer " + std::to_string(l));
   }
+}
+
+/// The (layer, phase, shape) entries of the GEMMs a run executed.
+std::vector<workloads::AeGemm> executed(const NetworkStats& stats) {
+  return {stats.gemms.begin(), stats.gemms.end()};
+}
+
+TEST(NetworkRunner, EveryPathRunsTheTrainingStepPlan) {
+  // training_step_gemms is the one definition of a step: the full step,
+  // forward(), a sharded slice and the dW reduction each execute exactly
+  // its entries (or the documented subset), in its order, with its shapes.
+  using Phase = workloads::AeGemm::Phase;
+  struct Case {
+    uint32_t input_dim;
+    std::vector<uint32_t> hidden;
+    std::vector<uint32_t> batches;
+  };
+  const workloads::AutoencoderConfig full;  // 640-128^4-8-128^4-640
+  const Case cases[] = {
+      {full.input_dim, full.hidden, {1, 2}},
+      {32, {16, 8, 16}, {3, 4}},
+      {96, {64, 32, 64}, {5, 2}},
+      {96, {64, 32}, {1, 4}},
+      {7, {5, 3}, {3, 16}},
+  };
+  for (const Case& c : cases)
+    for (const uint32_t batch : c.batches) {
+      api::NetworkTrainingSpec spec;
+      spec.net.input_dim = c.input_dim;
+      spec.net.hidden = c.hidden;
+      spec.net.batch = batch;
+      const ClusterConfig ccfg = api::resolve_cluster_config(
+          {}, api::NetworkTrainingWorkload(spec).requirements());
+      api::NetworkInputs in = api::draw_network_inputs(spec);
+      const std::vector<uint32_t> dims = spec.net.dims();
+      const std::string at = std::to_string(dims.size() - 1) + " layers from " +
+                             std::to_string(c.input_dim) +
+                             ", B=" + std::to_string(batch);
+
+      const std::vector<workloads::AeGemm> plan =
+          workloads::training_step_gemms(dims, batch);
+      std::vector<workloads::AeGemm> fw, no_dw, dw;
+      for (const workloads::AeGemm& e : plan) {
+        if (e.phase == Phase::kForward) fw.push_back(e);
+        (e.phase == Phase::kGradWeight ? dw : no_dw).push_back(e);
+      }
+      ASSERT_EQ(std::vector<workloads::AeGemm>(plan.begin(),
+                                               plan.begin() + fw.size()),
+                fw)
+          << at << ": the forward pass is the plan's prefix";
+
+      Cluster cl_step(ccfg), cl_fwd(ccfg), cl_slice(ccfg), cl_reduce(ccfg);
+      RedmuleDriver drv_step(cl_step), drv_fwd(cl_fwd), drv_slice(cl_slice),
+          drv_reduce(cl_reduce);
+      const auto step =
+          NetworkRunner(cl_step, drv_step).training_step(in.net, in.x, in.x, 0.0);
+      EXPECT_EQ(executed(step.stats), plan) << at;
+      EXPECT_EQ(step.stats.macs, plan_macs(plan)) << at;
+
+      const auto fwd = NetworkRunner(cl_fwd, drv_fwd).forward(in.net, in.x);
+      EXPECT_EQ(executed(fwd.stats), fw) << at;
+
+      NetworkRunner slice_runner(cl_slice, drv_slice);
+      slice_runner.stage_training_template(in.net, batch);
+      const auto slice = slice_runner.training_slice_staged(in.net, in.x, in.x);
+      EXPECT_EQ(executed(slice.stats), no_dw) << at;
+
+      DwAccumulator acc(cl_reduce, drv_reduce, in.net, slice.grads.padded_batch);
+      EXPECT_EQ(executed(acc.accumulate(slice.grads, /*first=*/true)), dw) << at;
+    }
+}
+
+TEST(NetworkRunner, MinTcdmBytesIsPinned) {
+  // The largest minimum tile set over the plan's GEMMs plus layer 0's dX,
+  // which the step never runs but the sizing has always covered: in 2-3-1-2
+  // at B = 1 that dX (2 x 3 x 1, staged 2 x 4 x 2) sets the maximum, 40
+  // bytes against 32 without it.
+  const core::Geometry g{};
+  EXPECT_EQ(NetworkRunner::min_tcdm_bytes({2, 3, 1, 2}, 1, g), 40u);
+  EXPECT_EQ(NetworkRunner::min_tcdm_bytes({96, 64, 32, 96}, 4, g), 896u);
 }
 
 TEST(NetworkRunner, MseFallsOverSgdSteps) {

@@ -21,20 +21,36 @@ TEST(Autoencoder, DimChain) {
 TEST(Autoencoder, ForwardShapesMapKToBatch) {
   AutoencoderConfig cfg;
   cfg.batch = 4;
-  const auto gemms = autoencoder_forward_gemms(cfg);
-  ASSERT_EQ(gemms.size(), 10u);
-  for (const auto& g : gemms) {
-    EXPECT_EQ(g.shape.k, 4u);  // K = B: the paper's utilization bottleneck
+  const auto gemms = training_step_gemms(cfg.dims(), cfg.batch);
+  // The forward pass is the plan's first n_layers entries, in layer order.
+  for (size_t l = 0; l < cfg.n_layers(); ++l) {
+    const AeGemm& g = gemms[l];
+    EXPECT_EQ(g.layer, l);
     EXPECT_EQ(g.phase, AeGemm::Phase::kForward);
+    EXPECT_EQ(g.shape.k, 4u);  // K = B: the paper's utilization bottleneck
   }
   EXPECT_EQ(gemms[0].shape.m, 128u);
   EXPECT_EQ(gemms[0].shape.n, 640u);
 }
 
+TEST(Autoencoder, PlanOrderIsForwardThenBackwardFromTheLastLayer) {
+  // 3 -> 5 -> 2: two layers; layer 0 has no dX.
+  const auto gemms = training_step_gemms({3, 5, 2}, 7);
+  const std::vector<AeGemm> want = {
+      {{"L0.fw", 5, 3, 7}, 0, AeGemm::Phase::kForward},
+      {{"L1.fw", 2, 5, 7}, 1, AeGemm::Phase::kForward},
+      {{"L1.dW", 2, 7, 5}, 1, AeGemm::Phase::kGradWeight},
+      {{"L1.dX", 5, 2, 7}, 1, AeGemm::Phase::kGradInput},
+      {{"L0.dW", 5, 7, 3}, 0, AeGemm::Phase::kGradWeight},
+  };
+  EXPECT_EQ(gemms, want);
+  EXPECT_THROW(training_step_gemms({3}, 1), redmule::Error);
+}
+
 TEST(Autoencoder, TrainingShapesIncludeBothGradients) {
   AutoencoderConfig cfg;
   cfg.batch = 2;
-  const auto gemms = autoencoder_training_gemms(cfg);
+  const auto gemms = training_step_gemms(cfg.dims(), cfg.batch);
   // 10 forward + 10 dW + 9 dX (no dX for layer 0).
   ASSERT_EQ(gemms.size(), 29u);
   unsigned dw = 0, dx = 0;
@@ -55,7 +71,7 @@ TEST(Autoencoder, TrainingShapesIncludeBothGradients) {
 TEST(Autoencoder, GradWeightHasLargeK) {
   // The paper's "significant advantages in backward": dW has K = in_dim.
   AutoencoderConfig cfg;
-  const auto gemms = autoencoder_training_gemms(cfg);
+  const auto gemms = training_step_gemms(cfg.dims(), cfg.batch);
   bool found_large = false;
   for (const auto& g : gemms)
     if (g.phase == AeGemm::Phase::kGradWeight && g.shape.k >= 128) found_large = true;

@@ -29,14 +29,10 @@ TEST(GemmWorkloads, ConstantMatrix) {
     for (size_t c = 0; c < 3; ++c) EXPECT_EQ(m(r, c).to_double(), 0.5);
 }
 
-TEST(GemmWorkloads, SquareSweepShapes) {
-  const auto shapes = square_sweep({8, 16, 32});
-  ASSERT_EQ(shapes.size(), 3u);
-  EXPECT_EQ(shapes[1].m, 16u);
-  EXPECT_EQ(shapes[1].n, 16u);
-  EXPECT_EQ(shapes[1].k, 16u);
-  EXPECT_EQ(shapes[1].macs(), 16ull * 16 * 16);
-  EXPECT_EQ(shapes[1].bytes(), 3ull * 16 * 16 * 2);
+TEST(GemmWorkloads, ShapeMacsAndBytes) {
+  const GemmShape s{"3x5x7", 3, 5, 7};
+  EXPECT_EQ(s.macs(), 3ull * 5 * 7);
+  EXPECT_EQ(s.bytes(), 2ull * (3 * 5 + 5 * 7 + 3 * 7));  // X, W and Z
 }
 
 TEST(GemmWorkloads, RaggedSweepCoversLeftoverClasses) {

@@ -79,7 +79,9 @@ std::vector<std::string> blank_noncode(const std::vector<std::string>& raw_lines
               ++i;  // malformed; treat as code
               break;
             }
-            raw_delim = ")" + line.substr(i + 2, paren - (i + 2)) + "\"";
+            raw_delim = ")";
+            raw_delim.append(line, i + 2, paren - (i + 2));
+            raw_delim += '"';
             for (size_t k = i + 1; k <= paren && k < line.size(); ++k) line[k] = ' ';
             i = paren + 1;
             state = State::kRawString;
