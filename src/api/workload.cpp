@@ -384,12 +384,6 @@ SpecArgs SpecArgs::parse(const std::string& body) {
   return args;
 }
 
-bool SpecArgs::has(const std::string& key) const {
-  const auto it = kv_.find(key);
-  if (it != kv_.end()) it->second.consumed = true;
-  return it != kv_.end();
-}
-
 std::string SpecArgs::str(const std::string& key, const std::string& def) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return def;

@@ -365,7 +365,6 @@ class SpecArgs {
   /// Parses the part after the kind prefix ("m=64,n=64,k=64").
   static SpecArgs parse(const std::string& body);
 
-  bool has(const std::string& key) const;
   std::string str(const std::string& key, const std::string& def) const;
   uint64_t u64(const std::string& key, uint64_t def) const;
   uint32_t u32(const std::string& key, uint32_t def) const;

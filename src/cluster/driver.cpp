@@ -115,36 +115,35 @@ core::JobStats RedmuleDriver::run_gemm(uint32_t x_addr, uint32_t w_addr,
   return run_job(job);
 }
 
+RedmuleDriver::GemmResult RedmuleDriver::gemm(const MatrixF16& x, const MatrixF16& w) {
+  return offload(x, w, nullptr);
+}
+
 RedmuleDriver::GemmResult RedmuleDriver::gemm_acc(const MatrixF16& x,
                                                   const MatrixF16& w,
                                                   const MatrixF16& y) {
+  return offload(x, w, &y);
+}
+
+RedmuleDriver::GemmResult RedmuleDriver::offload(const MatrixF16& x,
+                                                 const MatrixF16& w,
+                                                 const MatrixF16* y) {
   REDMULE_REQUIRE(x.cols() == w.rows(), "GEMM shape mismatch");
-  REDMULE_REQUIRE(y.rows() == x.rows() && y.cols() == w.cols(), "Y shape mismatch");
+  REDMULE_REQUIRE(!y || (y->rows() == x.rows() && y->cols() == w.cols()),
+                  "Y shape mismatch");
+  // Allocation order X, W, [Y], Z fixes every TCDM address.
   core::Job job;
   job.x_ptr = place_matrix(x);
   job.w_ptr = place_matrix(w);
-  job.y_ptr = place_matrix(y);
+  if (y) job.y_ptr = place_matrix(*y);
   job.z_ptr = alloc(static_cast<uint32_t>(x.rows() * w.cols() * sizeof(uint16_t)));
   job.m = static_cast<uint32_t>(x.rows());
   job.n = static_cast<uint32_t>(x.cols());
   job.k = static_cast<uint32_t>(w.cols());
-  job.accumulate = true;
+  job.accumulate = y != nullptr;
   GemmResult res;
   res.stats = run_job(job);
   res.z = read_matrix(job.z_ptr, x.rows(), w.cols());
-  return res;
-}
-
-RedmuleDriver::GemmResult RedmuleDriver::gemm(const MatrixF16& x, const MatrixF16& w) {
-  REDMULE_REQUIRE(x.cols() == w.rows(), "GEMM shape mismatch");
-  const uint32_t x_addr = place_matrix(x);
-  const uint32_t w_addr = place_matrix(w);
-  const uint32_t z_addr =
-      alloc(static_cast<uint32_t>(x.rows() * w.cols() * sizeof(uint16_t)));
-  GemmResult res;
-  res.stats = run_gemm(x_addr, w_addr, z_addr, static_cast<uint32_t>(x.rows()),
-                       static_cast<uint32_t>(x.cols()), static_cast<uint32_t>(w.cols()));
-  res.z = read_matrix(z_addr, x.rows(), w.cols());
   return res;
 }
 

@@ -79,6 +79,9 @@ class RedmuleDriver {
   GemmResult gemm_acc(const MatrixF16& x, const MatrixF16& w, const MatrixF16& y);
 
  private:
+  /// Places X, W and (when given) Y, runs Z = [Y +] X * W, reads Z back.
+  GemmResult offload(const MatrixF16& x, const MatrixF16& w, const MatrixF16* y);
+
   Cluster& cluster_;
   uint32_t next_free_;
   core::Job pending_job_{};   ///< job launched by start_job(), for wait_job()

@@ -523,8 +523,6 @@ uint64_t NetworkRunner::min_tcdm_bytes(const std::vector<uint32_t>& dims,
                     workloads::min_tile_plan(x.m, x.n, x.k, false, g).tcdm_bytes());
   };
   for (const AeGemm& e : workloads::training_step_gemms(dims, batch)) cover(e.shape);
-  // Layer 0's dX never runs, but sizing has always covered it.
-  cover({"L0.dX", dims[0], dims[1], batch});
   return need;
 }
 

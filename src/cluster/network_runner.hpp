@@ -147,8 +147,7 @@ class NetworkRunner {
   static uint64_t training_l2_bytes(const std::vector<uint32_t>& dims,
                                     uint32_t batch);
   /// Smallest TCDM budget that fits the minimum aligned tile set of every
-  /// GEMM of that training step's plan, and of layer 0's dX shape (never
-  /// run, but always part of this sizing).
+  /// GEMM of that training step's plan.
   static uint64_t min_tcdm_bytes(const std::vector<uint32_t>& dims,
                                  uint32_t batch, const core::Geometry& g);
 

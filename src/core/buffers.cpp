@@ -30,15 +30,6 @@ void XBuffer::open_group(uint64_t tile, uint32_t q, unsigned valid_rows) {
   groups_.push_back(std::move(grp));
 }
 
-void XBuffer::deliver_row(Line line) {
-  REDMULE_ASSERT(!groups_.empty());
-  XGroup& grp = groups_.back();
-  REDMULE_ASSERT(grp.loaded_rows < grp.valid_rows);
-  REDMULE_ASSERT(line.size() == geom_.j_slots());
-  grp.rows[grp.loaded_rows] = std::move(line);
-  ++grp.loaded_rows;
-}
-
 void XBuffer::deliver_row_bits(const uint16_t* bits, unsigned n_valid) {
   REDMULE_ASSERT(!groups_.empty());
   XGroup& grp = groups_.back();
@@ -92,18 +83,12 @@ WLine& WBuffer::next_slot(unsigned col) {
   return slot;
 }
 
-void WBuffer::push(unsigned col, WLine line) {
-  REDMULE_ASSERT(line.elems.size() == geom_.j_slots());
-  next_slot(col) = std::move(line);
-}
-
 void WBuffer::push_bits(unsigned col, uint64_t tile, uint32_t trav,
                         const uint16_t* bits, unsigned n_valid) {
   REDMULE_ASSERT(n_valid <= geom_.j_slots());
   WLine& slot = next_slot(col);
   slot.tile = tile;
   slot.trav = trav;
-  slot.elems.resize(geom_.j_slots());  // no-op unless push() swapped storage
   unsigned h = 0;
   for (; h < n_valid; ++h) slot.elems[h] = fp16::Float16::from_bits(bits[h]);
   for (; h < geom_.j_slots(); ++h) slot.elems[h] = fp16::Float16{};

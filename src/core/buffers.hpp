@@ -44,13 +44,12 @@ class XBuffer {
 
   /// Streamer side: space for starting a new group?
   bool can_accept_group() const { return groups_.size() < kCapacity; }
-  /// Opens a new group (rows arrive one by one via deliver_row). Retired
-  /// groups are recycled, so steady-state operation never allocates.
+  /// Opens a new group (rows arrive one by one via deliver_row_bits).
+  /// Retired groups are recycled, so steady-state operation never allocates.
   void open_group(uint64_t tile, uint32_t q, unsigned valid_rows);
-  /// Delivers a loaded row line into the most recently opened group.
-  void deliver_row(Line line);
-  /// Allocation-free delivery: fills the next row in place from raw
-  /// halfword encodings (\p n_valid elements; the tail stays zero-padded).
+  /// Allocation-free delivery into the most recently opened group: fills the
+  /// next row in place from raw halfword encodings (\p n_valid elements; the
+  /// tail stays zero-padded).
   void deliver_row_bits(const uint16_t* bits, unsigned n_valid);
 
   /// Engine side: is the group tagged (tile, q) present and fully loaded?
@@ -83,7 +82,6 @@ class WBuffer {
   WBuffer(const Geometry& g);
 
   bool can_push(unsigned col) const;
-  void push(unsigned col, WLine line);
   /// Allocation-free push: fills the next slot of \p col in place from raw
   /// halfword encodings (\p n_valid elements; the tail stays zero-padded).
   void push_bits(unsigned col, uint64_t tile, uint32_t trav, const uint16_t* bits,

@@ -46,10 +46,6 @@ struct CoreStats {
   uint64_t raw_stalls = 0;    ///< cycles lost to operand hazards
   uint64_t branch_stalls = 0;
   uint64_t fp_ops = 0;
-
-  double ipc() const {
-    return cycles == 0 ? 0.0 : static_cast<double>(retired) / static_cast<double>(cycles);
-  }
 };
 
 class RiscvCore : public sim::Clocked {

@@ -1,6 +1,8 @@
 #include "serve/frame.hpp"
 
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 namespace redmule::serve {
 
@@ -13,67 +15,51 @@ using api::TypedError;
   throw TypedError(ErrorCode::kBadConfig, "malformed frame: " + what);
 }
 
-/// Little-endian appender for payload construction.
+/// Little-endian payload appender: the encode side of every field list.
 class Writer {
  public:
-  void u8(uint8_t v) { buf_.push_back(v); }
-  void u32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  template <class... F>
+  void operator()(const F&... f) {
+    (put(f), ...);
   }
-  void u64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  std::vector<uint8_t> take() { return std::move(buf_); }
+
+ private:
+  template <std::integral T>
+  void put(T v) {
+    const auto u = static_cast<std::make_unsigned_t<T>>(v);
+    for (size_t i = 0; i < sizeof(T); ++i)
+      buf_.push_back(static_cast<uint8_t>(u >> (8 * i)));
   }
-  void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-  void str(const std::string& s) {
+  template <class T>
+    requires std::is_enum_v<T>
+  void put(T v) {
+    put(static_cast<std::underlying_type_t<T>>(v));
+  }
+  void put(const std::string& s) {
     // Encoders enforce the same string cap the decoder does, so a server
     // can never emit a frame its own peer implementation must reject.
     if (s.size() > kMaxStringBytes)
       throw TypedError(ErrorCode::kCapacity,
                        "string exceeds the wire cap of " +
                            std::to_string(kMaxStringBytes) + " bytes");
-    u32(static_cast<uint32_t>(s.size()));
+    put(static_cast<uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
-  std::vector<uint8_t> take() { return std::move(buf_); }
 
- private:
   std::vector<uint8_t> buf_;
 };
 
-/// Bounds-checked little-endian reader over one payload. Every accessor
-/// throws kBadConfig on overrun; expect_end() makes trailing bytes fatal.
+/// Bounds-checked little-endian payload reader: the decode side of every
+/// field list. Every read throws kBadConfig on overrun or on an enum byte
+/// past its last value; expect_end() makes trailing bytes fatal.
 class Reader {
  public:
-  Reader(const uint8_t* data, size_t n) : data_(data), n_(n) {}
+  explicit Reader(const Frame& f) : data_(f.payload.data()), n_(f.payload.size()) {}
 
-  uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  uint32_t u32() {
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  uint64_t u64() {
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  int32_t i32() { return static_cast<int32_t>(u32()); }
-  std::string str() {
-    const uint32_t len = u32();
-    // Cap before need(): a hostile length must not even be compared against
-    // the remaining bytes in a way that could allocate first.
-    if (len > kMaxStringBytes)
-      malformed("string length " + std::to_string(len) + " exceeds the cap of " +
-                std::to_string(kMaxStringBytes));
-    need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return s;
+  template <class... F>
+  void operator()(F&... f) {
+    (get(f), ...);
   }
   void expect_end() const {
     if (pos_ != n_)
@@ -81,15 +67,128 @@ class Reader {
   }
 
  private:
+  template <std::integral T>
+  void get(T& v) {
+    need(sizeof(T));
+    std::make_unsigned_t<T> u = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+      u |= static_cast<std::make_unsigned_t<T>>(data_[pos_++]) << (8 * i);
+    v = static_cast<T>(u);
+  }
+  /// Named so the trust-boundary lint tracks a length read through it.
+  uint32_t u32() {
+    uint32_t v = 0;
+    get(v);
+    return v;
+  }
+  void get(ErrorCode& c) {
+    uint8_t b = 0;
+    get(b);
+    if (b > static_cast<uint8_t>(ErrorCode::kCancelled))
+      malformed("unknown error code " + std::to_string(b));
+    c = static_cast<ErrorCode>(b);
+  }
+  void get(ProgressState& s) {
+    uint8_t b = 0;
+    get(b);
+    if (b > static_cast<uint8_t>(ProgressState::kRunning))
+      malformed("unknown progress state " + std::to_string(b));
+    s = static_cast<ProgressState>(b);
+  }
+  void get(std::string& s) {
+    const uint32_t len = u32();
+    // Cap before need(): a hostile length must not even be compared against
+    // the remaining bytes in a way that could allocate first.
+    if (len > kMaxStringBytes)
+      malformed("string length " + std::to_string(len) + " exceeds the cap of " +
+                std::to_string(kMaxStringBytes));
+    need(len);
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    pos_ += len;
+  }
   void need(size_t k) const {
     if (n_ - pos_ < k) malformed("payload truncated");
   }
+
   const uint8_t* data_;
   size_t n_;
   size_t pos_ = 0;
 };
 
-Reader reader_of(const Frame& f) { return Reader(f.payload.data(), f.payload.size()); }
+// --- Field lists --------------------------------------------------------------
+//
+// Each payload's wire layout, in order, written once: the Writer walks it to
+// encode, the Reader to decode. M is the message, const when encoding.
+
+template <class M, class Msg>
+concept Is = std::same_as<std::remove_const_t<M>, Msg>;
+
+template <class IO, Is<HelloMsg> M>
+void fields(IO& io, M& m) {
+  io(m.client_name);
+}
+
+template <class IO, Is<HelloAckMsg> M>
+void fields(IO& io, M& m) {
+  io(m.session_id, m.max_frame_bytes, m.max_spec_bytes, m.server_name);
+}
+
+template <class IO, Is<SubmitMsg> M>
+void fields(IO& io, M& m) {
+  io(m.tag, m.priority, m.max_sim_cycles, m.max_wall_ms, m.spec);
+}
+
+template <class IO, Is<ResultMsg> M>
+void fields(IO& io, M& m) {
+  io(m.tag, m.job_id, m.cycles, m.advance_cycles, m.stall_cycles, m.macs,
+     m.fma_ops, m.z_hash);
+}
+
+template <class IO, Is<ErrorMsg> M>
+void fields(IO& io, M& m) {
+  io(m.tag, m.code, m.message);
+}
+
+template <class IO, Is<CancelMsg> M>
+void fields(IO& io, M& m) {
+  io(m.tag);
+}
+
+template <class IO, Is<ProgressMsg> M>
+void fields(IO& io, M& m) {
+  io(m.tag, m.job_id, m.state);
+}
+
+template <class IO, Is<PingMsg> M>
+void fields(IO& io, M& m) {
+  io(m.nonce);
+}
+
+template <class IO, Is<StatsReplyMsg> M>
+void fields(IO& io, M& m) {
+  io(m.submitted, m.completed, m.failed, m.cancelled, m.rejected, m.shed,
+     m.retries, m.sim_cycles, m.macs, m.queued_now, m.active_now,
+     m.sessions_now, m.sessions_total, m.protocol_errors,
+     m.overload_disconnects, m.draining, m.session_submitted,
+     m.session_completed, m.session_errors, m.session_progress_shed,
+     m.session_jobs_live);
+}
+
+template <class M>
+std::vector<uint8_t> encode_fields(const M& m) {
+  Writer w;
+  fields(w, m);
+  return w.take();
+}
+
+template <class M>
+M decode_fields(const Frame& f) {
+  Reader r(f);
+  M m;
+  fields(r, m);
+  r.expect_end();
+  return m;
+}
 
 }  // namespace
 
@@ -128,212 +227,26 @@ std::vector<uint8_t> empty_frame(MsgType type) {
   return out;
 }
 
-std::vector<uint8_t> encode(const HelloMsg& m) {
-  Writer w;
-  w.str(m.client_name);
-  return w.take();
-}
+std::vector<uint8_t> encode(const HelloMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const HelloAckMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const SubmitMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const ResultMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const ErrorMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const CancelMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const ProgressMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const PingMsg& m) { return encode_fields(m); }
+std::vector<uint8_t> encode(const StatsReplyMsg& m) { return encode_fields(m); }
 
-std::vector<uint8_t> encode(const HelloAckMsg& m) {
-  Writer w;
-  w.u64(m.session_id);
-  w.u32(m.max_frame_bytes);
-  w.u32(m.max_spec_bytes);
-  w.str(m.server_name);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const SubmitMsg& m) {
-  Writer w;
-  w.u64(m.tag);
-  w.i32(m.priority);
-  w.u64(m.max_sim_cycles);
-  w.u64(m.max_wall_ms);
-  w.str(m.spec);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const ResultMsg& m) {
-  Writer w;
-  w.u64(m.tag);
-  w.u64(m.job_id);
-  w.u64(m.cycles);
-  w.u64(m.advance_cycles);
-  w.u64(m.stall_cycles);
-  w.u64(m.macs);
-  w.u64(m.fma_ops);
-  w.u64(m.z_hash);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const ErrorMsg& m) {
-  Writer w;
-  w.u64(m.tag);
-  w.u8(static_cast<uint8_t>(m.code));
-  w.str(m.message);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const CancelMsg& m) {
-  Writer w;
-  w.u64(m.tag);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const ProgressMsg& m) {
-  Writer w;
-  w.u64(m.tag);
-  w.u64(m.job_id);
-  w.u8(static_cast<uint8_t>(m.state));
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const PingMsg& m) {
-  Writer w;
-  w.u64(m.nonce);
-  return w.take();
-}
-
-std::vector<uint8_t> encode(const StatsReplyMsg& m) {
-  Writer w;
-  w.u64(m.submitted);
-  w.u64(m.completed);
-  w.u64(m.failed);
-  w.u64(m.cancelled);
-  w.u64(m.rejected);
-  w.u64(m.shed);
-  w.u64(m.retries);
-  w.u64(m.sim_cycles);
-  w.u64(m.macs);
-  w.u64(m.queued_now);
-  w.u64(m.active_now);
-  w.u64(m.sessions_now);
-  w.u64(m.sessions_total);
-  w.u64(m.protocol_errors);
-  w.u64(m.overload_disconnects);
-  w.u64(m.draining);
-  w.u64(m.session_submitted);
-  w.u64(m.session_completed);
-  w.u64(m.session_errors);
-  w.u64(m.session_progress_shed);
-  w.u64(m.session_jobs_live);
-  return w.take();
-}
-
-HelloMsg decode_hello(const Frame& f) {
-  Reader r = reader_of(f);
-  HelloMsg m;
-  m.client_name = r.str();
-  r.expect_end();
-  return m;
-}
-
-HelloAckMsg decode_hello_ack(const Frame& f) {
-  Reader r = reader_of(f);
-  HelloAckMsg m;
-  m.session_id = r.u64();
-  m.max_frame_bytes = r.u32();
-  m.max_spec_bytes = r.u32();
-  m.server_name = r.str();
-  r.expect_end();
-  return m;
-}
-
-SubmitMsg decode_submit(const Frame& f) {
-  Reader r = reader_of(f);
-  SubmitMsg m;
-  m.tag = r.u64();
-  m.priority = r.i32();
-  m.max_sim_cycles = r.u64();
-  m.max_wall_ms = r.u64();
-  m.spec = r.str();
-  r.expect_end();
-  return m;
-}
-
-ResultMsg decode_result(const Frame& f) {
-  Reader r = reader_of(f);
-  ResultMsg m;
-  m.tag = r.u64();
-  m.job_id = r.u64();
-  m.cycles = r.u64();
-  m.advance_cycles = r.u64();
-  m.stall_cycles = r.u64();
-  m.macs = r.u64();
-  m.fma_ops = r.u64();
-  m.z_hash = r.u64();
-  r.expect_end();
-  return m;
-}
-
-ErrorMsg decode_error(const Frame& f) {
-  Reader r = reader_of(f);
-  ErrorMsg m;
-  m.tag = r.u64();
-  const uint8_t code = r.u8();
-  if (code > static_cast<uint8_t>(ErrorCode::kCancelled))
-    malformed("unknown error code " + std::to_string(code));
-  m.code = static_cast<ErrorCode>(code);
-  m.message = r.str();
-  r.expect_end();
-  return m;
-}
-
-CancelMsg decode_cancel(const Frame& f) {
-  Reader r = reader_of(f);
-  CancelMsg m;
-  m.tag = r.u64();
-  r.expect_end();
-  return m;
-}
-
-ProgressMsg decode_progress(const Frame& f) {
-  Reader r = reader_of(f);
-  ProgressMsg m;
-  m.tag = r.u64();
-  m.job_id = r.u64();
-  const uint8_t state = r.u8();
-  if (state > static_cast<uint8_t>(ProgressState::kRunning))
-    malformed("unknown progress state " + std::to_string(state));
-  m.state = static_cast<ProgressState>(state);
-  r.expect_end();
-  return m;
-}
-
-PingMsg decode_ping(const Frame& f) {
-  Reader r = reader_of(f);
-  PingMsg m;
-  m.nonce = r.u64();
-  r.expect_end();
-  return m;
-}
-
+HelloMsg decode_hello(const Frame& f) { return decode_fields<HelloMsg>(f); }
+HelloAckMsg decode_hello_ack(const Frame& f) { return decode_fields<HelloAckMsg>(f); }
+SubmitMsg decode_submit(const Frame& f) { return decode_fields<SubmitMsg>(f); }
+ResultMsg decode_result(const Frame& f) { return decode_fields<ResultMsg>(f); }
+ErrorMsg decode_error(const Frame& f) { return decode_fields<ErrorMsg>(f); }
+CancelMsg decode_cancel(const Frame& f) { return decode_fields<CancelMsg>(f); }
+ProgressMsg decode_progress(const Frame& f) { return decode_fields<ProgressMsg>(f); }
+PingMsg decode_ping(const Frame& f) { return decode_fields<PingMsg>(f); }
 StatsReplyMsg decode_stats_reply(const Frame& f) {
-  Reader r = reader_of(f);
-  StatsReplyMsg m;
-  m.submitted = r.u64();
-  m.completed = r.u64();
-  m.failed = r.u64();
-  m.cancelled = r.u64();
-  m.rejected = r.u64();
-  m.shed = r.u64();
-  m.retries = r.u64();
-  m.sim_cycles = r.u64();
-  m.macs = r.u64();
-  m.queued_now = r.u64();
-  m.active_now = r.u64();
-  m.sessions_now = r.u64();
-  m.sessions_total = r.u64();
-  m.protocol_errors = r.u64();
-  m.overload_disconnects = r.u64();
-  m.draining = r.u64();
-  m.session_submitted = r.u64();
-  m.session_completed = r.u64();
-  m.session_errors = r.u64();
-  m.session_progress_shed = r.u64();
-  m.session_jobs_live = r.u64();
-  r.expect_end();
-  return m;
+  return decode_fields<StatsReplyMsg>(f);
 }
 
 void decode_empty(const Frame& f) {

@@ -10,6 +10,13 @@
 ///   5       1     message type (MsgType)
 ///   6       N-2   message payload (little-endian fields, see structs below)
 ///
+/// A payload is its message's fields back to back: integers (and enums, as
+/// their one-byte underlying type) as little-endian bytes of their own
+/// width, strings as a u32 length plus the bytes. frame.cpp lists each message's fields once, in wire order (the
+/// structs below declare them in the same order); encode and decode both
+/// walk that list, so a new field is added in one place and the two
+/// directions cannot disagree.
+///
 /// TRUST BOUNDARY. The decoder assumes the peer is hostile: every length is
 /// bounds-checked against an explicit byte budget before any allocation, a
 /// frame's payload must decode to exactly its declared length (trailing bytes

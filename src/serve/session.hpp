@@ -96,7 +96,6 @@ class Session {
   Enqueue enqueue_frame(MsgType type, std::vector<uint8_t> bytes,
                         size_t max_bytes);
   bool wants_write() const { return !out_.empty(); }
-  size_t queued_bytes() const { return out_bytes_; }
   /// Non-blocking flush of the front of the queue. Returns false on a fatal
   /// socket error (peer gone).
   bool flush_writes();

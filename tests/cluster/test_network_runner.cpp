@@ -422,12 +422,11 @@ TEST(NetworkRunner, EveryPathRunsTheTrainingStepPlan) {
 }
 
 TEST(NetworkRunner, MinTcdmBytesIsPinned) {
-  // The largest minimum tile set over the plan's GEMMs plus layer 0's dX,
-  // which the step never runs but the sizing has always covered: in 2-3-1-2
-  // at B = 1 that dX (2 x 3 x 1, staged 2 x 4 x 2) sets the maximum, 40
-  // bytes against 32 without it.
+  // The largest minimum tile set over the plan's GEMMs. Layer 0's dX is not
+  // one of them (the step never runs it): in 2-3-1-2 at B = 1 that shape
+  // (2 x 3 x 1, staged 2 x 4 x 2) would need 40 bytes, the plan needs 32.
   const core::Geometry g{};
-  EXPECT_EQ(NetworkRunner::min_tcdm_bytes({2, 3, 1, 2}, 1, g), 40u);
+  EXPECT_EQ(NetworkRunner::min_tcdm_bytes({2, 3, 1, 2}, 1, g), 32u);
   EXPECT_EQ(NetworkRunner::min_tcdm_bytes({96, 64, 32, 96}, 4, g), 896u);
 }
 

@@ -9,7 +9,10 @@ namespace {
 using fp16::f16;
 using fp16::Float16;
 
-Line line_of(double v, unsigned js = 16) { return Line(js, f16(v)); }
+/// A full j_slots-wide row of raw halfword encodings, all equal to \p v.
+std::vector<uint16_t> bits_of(double v, unsigned js = 16) {
+  return std::vector<uint16_t>(js, f16(v).bits());
+}
 
 TEST(XBufferUnit, GroupLifecycle) {
   Geometry g;
@@ -17,9 +20,9 @@ TEST(XBufferUnit, GroupLifecycle) {
   EXPECT_TRUE(xb.can_accept_group());
   xb.open_group(/*tile=*/0, /*q=*/0, /*valid_rows=*/2);
   EXPECT_EQ(xb.find_ready(0, 0), nullptr);  // not loaded yet
-  xb.deliver_row(line_of(1.0));
+  xb.deliver_row_bits(bits_of(1.0).data(), 16);
   EXPECT_EQ(xb.find_ready(0, 0), nullptr);  // 1 of 2 rows
-  xb.deliver_row(line_of(2.0));
+  xb.deliver_row_bits(bits_of(2.0).data(), 16);
   const XGroup* grp = xb.find_ready(0, 0);
   ASSERT_NE(grp, nullptr);
   EXPECT_EQ(grp->rows[0][0].to_double(), 1.0);
@@ -45,7 +48,7 @@ TEST(XBufferUnit, LookupByTileAndGroup) {
   Geometry g;
   XBuffer xb(g);
   xb.open_group(3, 1, 1);
-  xb.deliver_row(line_of(5.0));
+  xb.deliver_row_bits(bits_of(5.0).data(), 16);
   EXPECT_EQ(xb.find_ready(3, 0), nullptr);  // wrong q
   EXPECT_EQ(xb.find_ready(2, 1), nullptr);  // wrong tile
   EXPECT_NE(xb.find_ready(3, 1), nullptr);
@@ -55,8 +58,8 @@ TEST(WBufferUnit, PerColumnFifoWithTags) {
   Geometry g;
   WBuffer wb(g);
   ASSERT_TRUE(wb.can_push(0));
-  wb.push(0, WLine{0, 0, line_of(1.0)});
-  wb.push(0, WLine{0, 1, line_of(2.0)});
+  wb.push_bits(0, /*tile=*/0, /*trav=*/0, bits_of(1.0).data(), 16);
+  wb.push_bits(0, /*tile=*/0, /*trav=*/1, bits_of(2.0).data(), 16);
   EXPECT_FALSE(wb.can_push(0));  // depth 2
   EXPECT_TRUE(wb.can_push(1));   // independent columns
   EXPECT_NE(wb.front_if(0, 0, 0), nullptr);
@@ -66,10 +69,27 @@ TEST(WBufferUnit, PerColumnFifoWithTags) {
   EXPECT_EQ(wb.front_if(0, 0, 1)->elems[0].to_double(), 2.0);
 }
 
+TEST(WBufferUnit, PartialLineZeroPadsRecycledSlot) {
+  Geometry g;
+  WBuffer wb(g);
+  // Cycle both ring slots with full lines, then land a 3-element edge line
+  // in the first slot again: its stale tail must read as zero.
+  for (uint32_t trav = 0; trav < WBuffer::kDepth; ++trav) {
+    wb.push_bits(0, 0, trav, bits_of(1.0).data(), 16);
+    wb.pop(0);
+  }
+  wb.push_bits(0, 0, 7, bits_of(2.0).data(), 3);
+  const WLine* line = wb.front_if(0, 0, 7);
+  ASSERT_NE(line, nullptr);
+  EXPECT_EQ(line->elems[2].to_double(), 2.0);
+  EXPECT_EQ(line->elems[3].bits(), 0x0000);
+  EXPECT_EQ(line->elems[15].bits(), 0x0000);
+}
+
 TEST(WBufferUnit, ResetClears) {
   Geometry g;
   WBuffer wb(g);
-  wb.push(2, WLine{1, 4, line_of(3.0)});
+  wb.push_bits(2, /*tile=*/1, /*trav=*/4, bits_of(3.0).data(), 16);
   wb.reset();
   EXPECT_EQ(wb.front_if(2, 1, 4), nullptr);
   EXPECT_TRUE(wb.can_push(2));

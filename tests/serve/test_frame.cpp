@@ -11,8 +11,12 @@
 //    unknown type) -- table-driven, one case per class.
 //  - INCREMENTALITY: frames split across arbitrary feed() boundaries (down
 //    to one byte at a time) reassemble identically.
+//  - PINNED BYTES: one fixed instance of every payload message encodes to a
+//    literal frame, so a field reordered on both the encode and the decode
+//    side still fails (a roundtrip alone cannot see it).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -45,6 +49,22 @@ ErrorCode thrown_code(const std::vector<uint8_t>& bytes,
     return e.code();
   }
   return ErrorCode::kNone;
+}
+
+template <typename Fn>
+ErrorCode code_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const TypedError& e) {
+    return e.code();
+  }
+  return ErrorCode::kNone;
+}
+
+Frame frame_with_payload(MsgType type, const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> bytes;
+  encode_frame(bytes, type, payload);
+  return one_frame(bytes);
 }
 
 }  // namespace
@@ -292,4 +312,145 @@ TEST(ServeFrame, MaxFrameSizedPayloadIsAccepted) {
   const auto bytes = frame_of(MsgType::kHello, m);
   const Frame f = one_frame(bytes, cap);
   EXPECT_EQ(decode_hello(f).client_name.size(), m.client_name.size());
+}
+
+// --- Pinned wire bytes -------------------------------------------------------
+
+namespace {
+
+/// Space-separated lowercase hex, so a mismatch prints readably.
+std::string hex(const std::vector<uint8_t>& bytes) {
+  std::string s;
+  char b[4];
+  for (const uint8_t v : bytes) {
+    std::snprintf(b, sizeof b, "%s%02x", s.empty() ? "" : " ", v);
+    s += b;
+  }
+  return s;
+}
+
+}  // namespace
+
+TEST(ServeFrame, WireBytesArePinned) {
+  HelloAckMsg ack;
+  ack.session_id = 0x0123456789abcdefULL;
+  ack.max_frame_bytes = 65536;
+  ack.max_spec_bytes = 4096;
+  ack.server_name = "srv";
+  SubmitMsg submit;
+  submit.tag = 0x1122334455667788ULL;
+  submit.priority = -2;
+  submit.max_sim_cycles = 1000000;
+  submit.max_wall_ms = 250;
+  submit.spec = "gemm:m=8";
+  ResultMsg result;
+  result.tag = 7;
+  result.job_id = 9;
+  result.cycles = 8032;
+  result.advance_cycles = 8000;
+  result.stall_cycles = 32;
+  result.macs = 4096;
+  result.fma_ops = 4097;
+  result.z_hash = 0xfedcba9876543210ULL;
+  StatsReplyMsg stats;
+  uint64_t v = 1;
+  for (uint64_t* f :
+       {&stats.submitted, &stats.completed, &stats.failed, &stats.cancelled,
+        &stats.rejected, &stats.shed, &stats.retries, &stats.sim_cycles,
+        &stats.macs, &stats.queued_now, &stats.active_now, &stats.sessions_now,
+        &stats.sessions_total, &stats.protocol_errors,
+        &stats.overload_disconnects, &stats.draining, &stats.session_submitted,
+        &stats.session_completed, &stats.session_errors,
+        &stats.session_progress_shed, &stats.session_jobs_live})
+    *f = v++;
+
+  const struct {
+    const char* what;
+    std::vector<uint8_t> bytes;
+    const char* want;
+  } cases[] = {
+      {"HELLO", frame_of(MsgType::kHello, HelloMsg{"client-x"}),
+       "0e 00 00 00 01 01"
+       " 08 00 00 00 63 6c 69 65 6e 74 2d 78"},
+      {"HELLO_ACK", frame_of(MsgType::kHelloAck, ack),
+       "19 00 00 00 01 02"
+       " ef cd ab 89 67 45 23 01 00 00 01 00 00 10 00 00"
+       " 03 00 00 00 73 72 76"},
+      {"SUBMIT", frame_of(MsgType::kSubmit, submit),
+       "2a 00 00 00 01 03"
+       " 88 77 66 55 44 33 22 11 fe ff ff ff 40 42 0f 00"
+       " 00 00 00 00 fa 00 00 00 00 00 00 00 08 00 00 00"
+       " 67 65 6d 6d 3a 6d 3d 38"},
+      {"RESULT", frame_of(MsgType::kResult, result),
+       "42 00 00 00 01 04"
+       " 07 00 00 00 00 00 00 00 09 00 00 00 00 00 00 00"
+       " 60 1f 00 00 00 00 00 00 40 1f 00 00 00 00 00 00"
+       " 20 00 00 00 00 00 00 00 00 10 00 00 00 00 00 00"
+       " 01 10 00 00 00 00 00 00 10 32 54 76 98 ba dc fe"},
+      {"ERROR",
+       frame_of(MsgType::kError, ErrorMsg{5, ErrorCode::kTimeout, "late"}),
+       "13 00 00 00 01 05"
+       " 05 00 00 00 00 00 00 00 03 04 00 00 00 6c 61 74"
+       " 65"},
+      {"CANCEL", frame_of(MsgType::kCancel, CancelMsg{0x0102030405060708ULL}),
+       "0a 00 00 00 01 06"
+       " 08 07 06 05 04 03 02 01"},
+      {"PROGRESS",
+       frame_of(MsgType::kProgress, ProgressMsg{3, 4, ProgressState::kRunning}),
+       "13 00 00 00 01 07"
+       " 03 00 00 00 00 00 00 00 04 00 00 00 00 00 00 00"
+       " 01"},
+      {"PING", frame_of(MsgType::kPing, PingMsg{0xa1b2c3d4e5f60718ULL}),
+       "0a 00 00 00 01 08"
+       " 18 07 f6 e5 d4 c3 b2 a1"},
+      {"PONG", frame_of(MsgType::kPong, PingMsg{42}),
+       "0a 00 00 00 01 09"
+       " 2a 00 00 00 00 00 00 00"},
+      {"STATS_REPLY", frame_of(MsgType::kStatsReply, stats),
+       "aa 00 00 00 01 0b"
+       " 01 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00"
+       " 03 00 00 00 00 00 00 00 04 00 00 00 00 00 00 00"
+       " 05 00 00 00 00 00 00 00 06 00 00 00 00 00 00 00"
+       " 07 00 00 00 00 00 00 00 08 00 00 00 00 00 00 00"
+       " 09 00 00 00 00 00 00 00 0a 00 00 00 00 00 00 00"
+       " 0b 00 00 00 00 00 00 00 0c 00 00 00 00 00 00 00"
+       " 0d 00 00 00 00 00 00 00 0e 00 00 00 00 00 00 00"
+       " 0f 00 00 00 00 00 00 00 10 00 00 00 00 00 00 00"
+       " 11 00 00 00 00 00 00 00 12 00 00 00 00 00 00 00"
+       " 13 00 00 00 00 00 00 00 14 00 00 00 00 00 00 00"
+       " 15 00 00 00 00 00 00 00"},
+      {"SHUTDOWN", empty_frame(MsgType::kShutdown),
+       "02 00 00 00 01 0c"},
+  };
+  for (const auto& c : cases) EXPECT_EQ(hex(c.bytes), c.want) << c.what;
+}
+
+TEST(ServeFrame, OutOfRangeEnumBytesAreTyped) {
+  // ERROR: tag 1, code byte 6 (one past kCancelled), empty message.
+  const Frame err = frame_with_payload(
+      MsgType::kError, {1, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0});
+  EXPECT_EQ(code_of([&] { (void)decode_error(err); }), ErrorCode::kBadConfig);
+  // PROGRESS: tag 1, job 2, state byte 2 (one past kRunning).
+  const Frame progress = frame_with_payload(
+      MsgType::kProgress, {1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2});
+  EXPECT_EQ(code_of([&] { (void)decode_progress(progress); }),
+            ErrorCode::kBadConfig);
+}
+
+TEST(ServeFrame, StringCapsAreTyped) {
+  // The encoder refuses a string its peer would have to reject.
+  const HelloMsg big{std::string(kMaxStringBytes + 1, 'x')};
+  EXPECT_EQ(code_of([&] { (void)encode(big); }), ErrorCode::kCapacity);
+  EXPECT_EQ(code_of([&] {
+              (void)encode(HelloMsg{std::string(kMaxStringBytes, 'x')});
+            }),
+            ErrorCode::kNone);
+  // A declared length one past the cap is rejected from its 4 length bytes,
+  // before the (absent) string bytes are looked at.
+  const uint32_t len = kMaxStringBytes + 1;
+  const Frame hello = frame_with_payload(
+      MsgType::kHello,
+      {static_cast<uint8_t>(len), static_cast<uint8_t>(len >> 8),
+       static_cast<uint8_t>(len >> 16), static_cast<uint8_t>(len >> 24)});
+  EXPECT_EQ(code_of([&] { (void)decode_hello(hello); }), ErrorCode::kBadConfig);
 }

@@ -4,10 +4,11 @@
 Usage: tools/bench_exact_diff.py <baseline.json> <fresh.json>
 
 Gated (exit 1 on any difference or on a record missing from the fresh
-run): every record whose unit is "cycle", "MAC" or "B", and every
-"exactness_ok" marker. These are simulated quantities -- cycle counts,
-useful MACs, byte counts -- and bit-exactness verdicts, so they must not
-move when the code changes without meaning to change the model.
+run): every record whose unit is "cycle", "MAC" or "B", every
+"exactness_ok" marker, and the run-to-run determinism markers of the serve
+and batch benches. These are simulated quantities -- cycle counts, useful
+MACs, byte counts -- and bit-exactness verdicts, so they must not move when
+the code changes without meaning to change the model.
 
 Every other record (wall-clock times, rates, speedups) depends on the host
 and is printed side by side for information only.
@@ -16,6 +17,9 @@ import json
 import sys
 
 EXACT_UNITS = {"cycle", "MAC", "B"}
+# Named one by one: other "*ok"-looking records (speedup_ok, warm_wins,
+# fp16.native_lane) depend on the host and stay informational.
+EXACT_MARKERS = {"determinism.ok", "determinism_ok"}
 
 
 def load(path):
@@ -25,8 +29,9 @@ def load(path):
 
 
 def is_exact(record):
-    return record.get("unit") in EXACT_UNITS or record["name"].endswith(
-        "exactness_ok")
+    name = record["name"]
+    return (record.get("unit") in EXACT_UNITS or name.endswith("exactness_ok")
+            or name in EXACT_MARKERS)
 
 
 def main(argv):
