@@ -294,25 +294,23 @@ void NetworkTrainingWorkload::stage_template(cluster::Cluster& cluster) const {
 
 WorkloadResult NetworkTrainingWorkload::run(cluster::Cluster& cluster,
                                             RunContext& ctx) {
-  return run_impl(cluster, ctx, /*staged=*/false);
+  // A cold run is the template staged in place, then the warm body. Staging
+  // takes no simulated time; the wall budget is pinned first so it covers it.
+  RunContext job_ctx = pin_wall_budget(ctx);
+  stage_template(cluster);
+  return run_staged(cluster, job_ctx);
 }
 
 WorkloadResult NetworkTrainingWorkload::run_staged(cluster::Cluster& cluster,
                                                    RunContext& ctx) {
-  return run_impl(cluster, ctx, /*staged=*/true);
-}
-
-WorkloadResult NetworkTrainingWorkload::run_impl(cluster::Cluster& cluster,
-                                                 RunContext& ctx, bool staged) {
   // (net config, seed, input_seed) fully determine the inputs, so the
   // outcome is the same regardless of worker, order, cluster reuse, or
-  // warm-start forking.
+  // warm-start forking. The weights are the template's, in L2.
   ScopedRunControl control(cluster, ctx);
   cluster::RedmuleDriver drv(cluster);
-  NetworkInputs in = draw_network_inputs(spec_);
+  const workloads::MatrixF16 x = draw_network_input(spec_);
   cluster::NetworkRunner runner(cluster, drv);
-  auto r = staged ? runner.training_step_staged(in.net, in.x, in.x, spec_.lr)
-                  : runner.training_step(in.net, in.x, in.x, spec_.lr);
+  auto r = runner.training_step_staged(spec_.net.dims(), x, x);
   WorkloadResult res;
   res.stats.cycles = r.stats.total_cycles;
   res.stats.macs = r.stats.macs;
@@ -340,13 +338,24 @@ NetworkTrainingSpec network_spec_from(const SpecArgs& args) {
   return spec;
 }
 
+workloads::MatrixF16 draw_network_input(const NetworkTrainingSpec& spec) {
+  if (spec.input_seed != 0) {
+    Xoshiro256 rng(spec.input_seed);
+    return workloads::random_matrix(spec.net.input_dim, spec.net.batch, rng);
+  }
+  // Continue the weight stream past the weights: random_matrix consumes one
+  // next_u64() per element, so skipping them raw yields the same state.
+  Xoshiro256 rng(spec.seed);
+  const std::vector<uint32_t> d = spec.net.dims();
+  for (size_t l = 0; l + 1 < d.size(); ++l)
+    rng.discard(uint64_t{d[l]} * d[l + 1]);
+  return workloads::random_matrix(spec.net.input_dim, spec.net.batch, rng);
+}
+
 NetworkInputs draw_network_inputs(const NetworkTrainingSpec& spec) {
   Xoshiro256 rng(spec.seed);
-  NetworkInputs in{workloads::NetworkGraph::autoencoder(spec.net, rng), {}};
-  Xoshiro256 input_rng(spec.input_seed);
-  in.x = workloads::random_matrix(in.net.input_dim(), spec.net.batch,
-                                  spec.input_seed == 0 ? rng : input_rng);
-  return in;
+  return {workloads::NetworkGraph::autoencoder(spec.net, rng),
+          draw_network_input(spec)};
 }
 
 uint64_t hash_training_step(const workloads::MatrixF16& out,

@@ -305,16 +305,19 @@ class TiledGemmWorkload : public Workload {
 };
 
 /// Spec of a whole autoencoder training step (forward, dX, dW chains with
-/// L2-resident activations) executed by cluster::NetworkRunner. Weights and
-/// the input batch are drawn by draw_network_inputs(); z_hash folds the
-/// reconstruction output plus every per-layer dW gradient
-/// (hash_training_step), so the determinism contract covers the whole
-/// backward pass.
+/// L2-resident activations) executed by cluster::NetworkRunner. The weights
+/// are drawn from seed (NetworkGraph::autoencoder) and the input batch by
+/// draw_network_input(); z_hash folds the reconstruction output plus every
+/// per-layer dW gradient (hash_training_step), so the determinism contract
+/// covers the whole backward pass.
 struct NetworkTrainingSpec {
   workloads::AutoencoderConfig net{};
   core::Geometry geometry{};
   uint64_t seed = 1;
-  double lr = 0.01;  ///< the legacy batch path's fixed learning rate
+  /// Learning rate (spec key lr=). Accepted, but it reaches no result bit:
+  /// z_hash folds the output and dW, which are computed before any update,
+  /// and a job's updated weights are never read.
+  double lr = 0.01;
   /// Seed of the input-batch draw. 0 (the legacy default) continues the
   /// weight RNG stream -- the exact historical bit pattern. Nonzero draws
   /// the input from its own Xoshiro256 stream, so jobs sharing (net,
@@ -339,10 +342,14 @@ class NetworkTrainingWorkload : public Workload {
 
   /// Warm-start surface: the template is the fully staged training layout
   /// (weights both orientations + zeroed gradient/activation regions) for
-  /// the seed-drawn network; the key covers exactly its inputs -- dims,
-  /// batch, geometry, weight seed -- and neither input_seed nor lr, which
-  /// only affect the per-job half.
+  /// the seed-drawn network, and it is the only place a job's weights come
+  /// from: run_staged() draws just the input and reads the weights from L2.
+  /// The key covers exactly the template's inputs -- dims, batch, geometry,
+  /// weight seed -- and neither input_seed nor lr, which only affect the
+  /// per-job half.
   std::string template_key() const override;
+  /// Draws the weights from seed and stages them; run() is this followed by
+  /// run_staged() on the same cluster.
   void stage_template(cluster::Cluster& cluster) const override;
   WorkloadResult run_staged(cluster::Cluster& cluster, RunContext& ctx) override;
   bool warm_by_default() const override { return spec_.warm; }
@@ -350,8 +357,6 @@ class NetworkTrainingWorkload : public Workload {
   const NetworkTrainingSpec& spec() const { return spec_; }
 
  private:
-  WorkloadResult run_impl(cluster::Cluster& cluster, RunContext& ctx,
-                          bool staged);
   NetworkTrainingSpec spec_;
 };
 
@@ -398,9 +403,14 @@ class SpecArgs {
 /// extra keys before calling require_all_consumed().
 NetworkTrainingSpec network_spec_from(const SpecArgs& args);
 
-/// The graph and input batch of a network spec: the weights from seed, then
-/// the (input_dim x batch) batch, continuing the weight stream when
-/// input_seed is 0 and drawn from its own Xoshiro256(input_seed) otherwise.
+/// The (input_dim x batch) input batch of a network spec, drawn without the
+/// weights. With input_seed 0 it continues the weight stream of seed: the
+/// draw skips one raw next_u64() per weight, as NetworkGraph::autoencoder
+/// consumes them. Otherwise it comes from its own Xoshiro256(input_seed).
+workloads::MatrixF16 draw_network_input(const NetworkTrainingSpec& spec);
+
+/// The graph and input batch of a network spec: the weights from seed and
+/// the batch from draw_network_input().
 struct NetworkInputs {
   workloads::NetworkGraph net;
   workloads::MatrixF16 x;

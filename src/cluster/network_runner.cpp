@@ -262,7 +262,8 @@ struct TrainingRun {
 };
 
 /// The one training executor, over an L2 holding the template staged by
-/// stage_training_template(): stages the per-job input, then runs the
+/// stage_training_template() for the network with dimension chain \p dims
+/// (the weights are read from L2 only): stages the per-job input, then runs the
 /// entries of workloads::training_step_gemms in order -- the forward walk,
 /// the MSE loss gradient, the backward walk. With \p capture null
 /// every dW GEMM runs in place into the layer's resident dW region.
@@ -271,19 +272,19 @@ struct TrainingRun {
 /// its W operand -- are captured for a DwAccumulator. Either way the layout,
 /// and every forward/dX GEMM's addresses, plan and staged bits, are the same.
 TrainingRun run_training(Cluster& cl, RedmuleDriver& drv,
-                         const NetworkGraph& net, const MatrixF16& x,
+                         const std::vector<uint32_t>& dims, const MatrixF16& x,
                          const MatrixF16& target,
                          NetworkRunner::SliceBackward* capture) {
-  REDMULE_REQUIRE(x.rows() == net.input_dim(), "input dimension mismatch");
+  REDMULE_REQUIRE(dims.size() >= 2 && x.rows() == dims.front(),
+                  "input dimension mismatch");
   const uint32_t batch = static_cast<uint32_t>(x.cols());
   REDMULE_REQUIRE(batch >= 1, "batch must be positive");
-  REDMULE_REQUIRE(target.rows() == net.output_dim() && target.cols() == batch,
+  REDMULE_REQUIRE(target.rows() == dims.back() && target.cols() == batch,
                   "target shape mismatch");
   const uint32_t bp = pad_even(batch);
 
   auto& l2 = cl.l2();
   TrainingRun run;
-  const std::vector<uint32_t> dims = net.dims();
   run.geoms = layer_geoms(dims);
   run.lay = layout_checked(l2, run.geoms, batch, /*training=*/true);
   const std::vector<LayerGeom>& geoms = run.geoms;
@@ -406,10 +407,9 @@ NetworkRunner::TrainingResult NetworkRunner::training_step(NetworkGraph& net,
 }
 
 NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
-    NetworkGraph& net, const MatrixF16& x, const MatrixF16& target, double lr) {
-  TrainingRun run = run_training(cl_, drv_, net, x, target, nullptr);
-
-  // --- Read gradients back, optional SGD update on the host weights --------
+    const std::vector<uint32_t>& dims, const MatrixF16& x,
+    const MatrixF16& target) {
+  TrainingRun run = run_training(cl_, drv_, dims, x, target, nullptr);
   auto& l2 = cl_.l2();
   TrainingResult& res = run.res;
   res.dw.resize(run.geoms.size());
@@ -417,17 +417,24 @@ NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
     const LayerGeom& g = run.geoms[l];
     res.dw[l] = strip_to(read_mat(l2, run.lay.layers[l].dw, g.m, pad_even(g.n)),
                          g.m, g.n);
-    if (lr != 0.0)
-      workloads::apply_sgd_update(net.weight(l), res.dw[l], lr,
-                                  static_cast<uint32_t>(x.cols()));
   }
   return std::move(res);
+}
+
+NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
+    NetworkGraph& net, const MatrixF16& x, const MatrixF16& target, double lr) {
+  TrainingResult res = training_step_staged(net.dims(), x, target);
+  if (lr != 0.0)
+    for (size_t l = 0; l < res.dw.size(); ++l)
+      workloads::apply_sgd_update(net.weight(l), res.dw[l], lr,
+                                  static_cast<uint32_t>(x.cols()));
+  return res;
 }
 
 NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
     const NetworkGraph& net, const MatrixF16& x, const MatrixF16& target) {
   TrainingSliceResult res;
-  TrainingRun run = run_training(cl_, drv_, net, x, target, &res.grads);
+  TrainingRun run = run_training(cl_, drv_, net.dims(), x, target, &res.grads);
   res.out = std::move(run.res.out);
   res.stats = std::move(run.res.stats);
   return res;

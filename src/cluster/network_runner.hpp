@@ -104,9 +104,17 @@ class NetworkRunner {
                                uint32_t batch);
 
   /// The execution half of training_step(): stages only the per-job input
-  /// and runs forward/backward/update over an L2 already holding the
-  /// template staged by stage_training_template() (directly, or restored
-  /// from its snapshot image). \p net must match the staged template.
+  /// and runs forward, loss gradient and backward over an L2 already holding
+  /// the template staged by stage_training_template() (directly, or restored
+  /// from its snapshot image) for the network with dimension chain \p dims,
+  /// then reads the gradients back. The weights are read only from L2, so no
+  /// host graph is needed and none is updated.
+  TrainingResult training_step_staged(const std::vector<uint32_t>& dims,
+                                      const MatrixF16& x,
+                                      const MatrixF16& target);
+  /// training_step_staged(net.dims(), x, target), then -- when \p lr is
+  /// nonzero -- the FP16 SGD update applied to \p net's host weights.
+  /// \p net must match the staged template.
   TrainingResult training_step_staged(workloads::NetworkGraph& net,
                                       const MatrixF16& x,
                                       const MatrixF16& target, double lr);

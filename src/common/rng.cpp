@@ -32,6 +32,10 @@ uint64_t Xoshiro256::next_u64() {
   return result;
 }
 
+void Xoshiro256::discard(uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) (void)next_u64();
+}
+
 uint64_t Xoshiro256::next_below(uint64_t bound) {
   REDMULE_ASSERT(bound > 0);
   // Debiased modulo via rejection sampling.

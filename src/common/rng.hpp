@@ -14,6 +14,8 @@ class Xoshiro256 {
   explicit Xoshiro256(uint64_t seed = 0x5eed5eed5eed5eedULL);
 
   uint64_t next_u64();
+  /// Advances the state as \p n next_u64() calls would.
+  void discard(uint64_t n);
   /// Uniform in [0, bound). \p bound must be > 0.
   uint64_t next_below(uint64_t bound);
   /// Uniform double in [0, 1).

@@ -31,14 +31,29 @@ L2Memory::L2Memory(L2Config cfg) : cfg_(cfg) {
 
 L2Memory::Page* L2Memory::writable_page(size_t page_idx) {
   std::shared_ptr<Page>& slot = pages_[page_idx];
-  if (!slot) {
-    slot = std::make_shared<Page>();
-    slot->fill(0);
-  } else if (slot.use_count() != 1) {
-    // Shared with a snapshot image: copy before the write lands (COW).
-    slot = std::make_shared<Page>(*slot);
+  if (slot && slot.use_count() == 1) return slot.get();
+  std::shared_ptr<Page> page;
+  if (spare_.empty()) {
+    page = std::make_shared<Page>();
+  } else {
+    page = std::move(spare_.back());
+    spare_.pop_back();
   }
+  if (slot)
+    *page = *slot;  // shared with a snapshot image: copy before the write (COW)
+  else
+    page->fill(0);
+  slot = std::move(page);
   return slot.get();
+}
+
+void L2Memory::drop_pages() {
+  std::vector<std::shared_ptr<Page>> dropped;
+  for (auto& slot : pages_) {
+    if (slot && slot.use_count() == 1) dropped.push_back(std::move(slot));
+    slot.reset();
+  }
+  if (!dropped.empty()) spare_ = std::move(dropped);
 }
 
 void L2Memory::write(uint32_t addr, const void* src, uint32_t len) {
@@ -90,15 +105,14 @@ void L2Memory::fill(uint8_t byte) {
   }
 }
 
-void L2Memory::reset() {
-  for (auto& slot : pages_) slot.reset();
-}
+void L2Memory::reset() { drop_pages(); }
 
 L2Memory::State L2Memory::save_state() const { return State{pages_}; }
 
 void L2Memory::restore_state(const State& s) {
   REDMULE_REQUIRE(s.pages.size() == pages_.size(),
                   "L2 state capacity mismatch");
+  drop_pages();
   pages_ = s.pages;
 }
 

@@ -30,6 +30,15 @@
 /// can only grow from 1 via save_state() on this L2Memory, and the cluster
 /// that owns it is single-threaded -- snapshotting and writing never race.
 /// Counts >= 2 only ever involve immutable image holders, which never write.
+///
+/// The same argument lets reset() and restore_state() keep the private pages
+/// they drop as spare storage, which writable_page() refills (zeroes or
+/// copies) before it installs one. A pooled cluster that forks a template per
+/// job thus reuses the pages its previous job copied instead of returning
+/// them to the heap, where the allocator may trim them and the next job would
+/// fault them back in. Spares are never read and never part of a State. They
+/// are the private pages of the last drop that found any, so unused spares
+/// never outlive the next such drop.
 #pragma once
 
 #include <array>
@@ -97,9 +106,12 @@ class L2Memory {
   /// Returns a writable pointer to the page holding \p page_idx, allocating
   /// a zero page or copying a shared one as needed.
   Page* writable_page(size_t page_idx);
+  /// Empties the page table. Its private pages, if any, replace the spares.
+  void drop_pages();
 
   L2Config cfg_;
   std::vector<std::shared_ptr<Page>> pages_;
+  std::vector<std::shared_ptr<Page>> spare_;  ///< private, contents stale
 };
 
 }  // namespace redmule::mem

@@ -356,6 +356,56 @@ std::vector<workloads::AeGemm> executed(const NetworkStats& stats) {
   return {stats.gemms.begin(), stats.gemms.end()};
 }
 
+TEST(NetworkRunner, DimsStepIsTheGraphStepWithoutTheUpdate) {
+  // The dims step reads the weights from the staged template only. At
+  // lr = 0 the graph overload must return exactly its result; at lr != 0 the
+  // graph overload still applies the SGD update to the host weights.
+  const workloads::AutoencoderConfig cfg = reduced_ae(3);
+  Xoshiro256 rng(71), rng_x(72);
+  const NetworkGraph net0 = NetworkGraph::autoencoder(cfg, rng);
+  const auto x = random_matrix(cfg.input_dim, cfg.batch, rng_x, -0.5, 0.5);
+
+  const auto staged_runner = [&](Cluster& cl, RedmuleDriver& drv) {
+    NetworkRunner runner(cl, drv);
+    runner.stage_training_template(net0, cfg.batch);
+    return runner;
+  };
+  Cluster cl_dims, cl_graph, cl_sgd;
+  RedmuleDriver drv_dims(cl_dims), drv_graph(cl_graph), drv_sgd(cl_sgd);
+  const auto dims = staged_runner(cl_dims, drv_dims)
+                        .training_step_staged(cfg.dims(), x, x);
+  NetworkGraph net_graph = net0;
+  const auto graph = staged_runner(cl_graph, drv_graph)
+                         .training_step_staged(net_graph, x, x, /*lr=*/0.0);
+
+  expect_bit_exact(dims.out, graph.out, "out");
+  ASSERT_EQ(dims.dw.size(), graph.dw.size());
+  for (size_t l = 0; l < dims.dw.size(); ++l)
+    expect_bit_exact(dims.dw[l], graph.dw[l], "dW layer " + std::to_string(l));
+  EXPECT_EQ(dims.mse, graph.mse);
+  EXPECT_EQ(dims.stats.total_cycles, graph.stats.total_cycles);
+  EXPECT_EQ(dims.stats.macs, graph.stats.macs);
+  EXPECT_EQ(executed(dims.stats), executed(graph.stats));
+  for (size_t l = 0; l < net0.n_layers(); ++l)
+    expect_bit_exact(net_graph.layer(l).weight, net0.layer(l).weight,
+                     "lr = 0 weights layer " + std::to_string(l));
+
+  const double lr = 0.05;
+  NetworkGraph net_sgd = net0;
+  const auto sgd =
+      staged_runner(cl_sgd, drv_sgd).training_step_staged(net_sgd, x, x, lr);
+  bool moved = false;
+  for (size_t l = 0; l < net0.n_layers(); ++l) {
+    expect_bit_exact(sgd.dw[l], dims.dw[l], "lr != 0 dW layer " + std::to_string(l));
+    MatrixF16 want = net0.layer(l).weight;
+    workloads::apply_sgd_update(want, dims.dw[l], lr, cfg.batch);
+    expect_bit_exact(net_sgd.layer(l).weight, want,
+                     "updated weights layer " + std::to_string(l));
+    moved = moved || api::hash_matrix(want) != api::hash_matrix(net0.layer(l).weight);
+  }
+  EXPECT_TRUE(moved) << "the update must change some weight";
+}
+
 TEST(NetworkRunner, EveryPathRunsTheTrainingStepPlan) {
   // training_step_gemms is the one definition of a step: the full step,
   // forward(), a sharded slice and the dW reduction each execute exactly

@@ -12,6 +12,15 @@ TEST(Rng, DeterministicAcrossInstances) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  for (const uint64_t n : {0ull, 1ull, 7ull, 14592ull}) {
+    Xoshiro256 a(42), b(42);
+    a.discard(n);
+    for (uint64_t i = 0; i < n; ++i) (void)b.next_u64();
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "n=" << n;
+  }
+}
+
 TEST(Rng, DifferentSeedsDiffer) {
   Xoshiro256 a(1), b(2);
   int same = 0;

@@ -7,7 +7,8 @@
 //  - COW L2: untouched pages are shared between a memory and its images
 //    (O(pages) forks, no byte copies); the first write to a shared page
 //    copies exactly that page; all-zero writes to absent pages never
-//    materialize storage.
+//    materialize storage; pages a reset or restore drops are reused only
+//    after a refill.
 //  - RESET INTERACTION: a restored-then-reset memory equals a freshly
 //    constructed one (residency is the dirty bookkeeping, installed
 //    wholesale by restore), and likewise for the whole cluster.
@@ -128,6 +129,49 @@ TEST(L2Cow, RestoredThenResetEqualsConstructed) {
   l2.read(base + 100, back, 2);
   EXPECT_EQ(back[0], 0);
   EXPECT_EQ(back[1], 0);
+}
+
+TEST(L2Cow, DroppedPagesAreReusedOnlyAfterARefill) {
+  // reset() and restore_state() keep the private pages they drop and the
+  // next page materialization reuses that storage: zero-filled for an
+  // absent page, overwritten by the image's bytes for a COW copy. Stale
+  // bytes must never show through.
+  L2Memory l2;
+  const uint32_t base = l2.config().base_addr;
+  const uint32_t page = L2Memory::kPageBytes;
+  const std::vector<uint8_t> ones(page, 0x11), image_bytes(page, 0xaa);
+  const auto read_page = [&](uint32_t idx) {
+    std::vector<uint8_t> v(page);
+    l2.read(base + idx * page, v.data(), page);
+    return v;
+  };
+
+  // Absent page after reset(): the dropped page 0 comes back as page 2, zeroed.
+  l2.write(base, ones.data(), page);
+  const L2Memory::Page* dropped = l2.save_state().pages[0].get();
+  l2.reset();
+  const uint8_t one = 0x22;
+  l2.write(base + 2 * page + 5, &one, 1);
+  EXPECT_EQ(l2.save_state().pages[2].get(), dropped) << "storage reused";
+  std::vector<uint8_t> want(page, 0);
+  want[5] = 0x22;
+  EXPECT_EQ(read_page(2), want);
+
+  // COW after restore_state(): a job's private page 1 comes back as the copy
+  // of the image's page 0, holding the image's bytes.
+  l2.reset();
+  l2.write(base, image_bytes.data(), page);
+  const L2Memory::State img = l2.save_state();
+  l2.write(base + page, ones.data(), page);
+  dropped = l2.save_state().pages[1].get();
+  l2.restore_state(img);
+  l2.write(base + 9, &one, 1);
+  EXPECT_EQ(l2.save_state().pages[0].get(), dropped) << "storage reused";
+  want.assign(page, 0xaa);
+  want[9] = 0x22;
+  EXPECT_EQ(read_page(0), want);
+  EXPECT_EQ(read_page(1), std::vector<uint8_t>(page, 0));
+  EXPECT_EQ((*img.pages[0])[9], 0xaa) << "the image must keep its bytes";
 }
 
 // --- Whole-cluster snapshot/restore ------------------------------------------
