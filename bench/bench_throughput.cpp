@@ -25,6 +25,12 @@
 /// The 1-thread runs additionally quantify reset-vs-reconstruct: the same
 /// batch with cluster reuse disabled (a fresh module hierarchy per job).
 ///
+/// Pooled clusters replay a repeated GEMM program from their timing cache
+/// (cluster/timing_cache.hpp) instead of simulating it, and every timed
+/// batch repeats its warmup batch's jobs. So each point also reports its
+/// replayed share: the fraction of its simulated cycles that came from a
+/// replay rather than the cycle model (ServiceStats::replayed_cycles).
+///
 /// Usage: bench_throughput [--smoke] [--out <path>] [--max-threads N] [--reps N]
 ///   --smoke        tiny problems, threads {1,2} (CI rot check, not a
 ///                  measurement)
@@ -189,7 +195,11 @@ struct BatchTiming {
   uint64_t sim_cycles = 0;
   uint64_t macs = 0;
   uint64_t cluster_reuses = 0;
+  uint64_t replayed_cycles = 0;  ///< the share of sim_cycles replayed
 
+  double replayed_share() const {
+    return sim_cycles > 0 ? static_cast<double>(replayed_cycles) / sim_cycles : 0;
+  }
   double cycles_per_sec() const { return wall_s > 0 ? sim_cycles / wall_s : 0; }
   double macs_per_sec() const { return wall_s > 0 ? macs / wall_s : 0; }
   double jobs_per_sec() const { return wall_s > 0 ? jobs_ok / wall_s : 0; }
@@ -216,7 +226,7 @@ std::vector<Outcome> serial_reference(const std::vector<std::string>& specs) {
 BatchTiming run_batch(api::Service& service, const std::vector<std::string>& specs,
                       const std::vector<Outcome>* reference, unsigned threads,
                       const std::string& mix_name, bool* all_deterministic) {
-  const uint64_t reuses_before = service.stats().cluster_reuses;
+  const api::ServiceStats before = service.stats();
   std::vector<api::JobHandle> handles;
   handles.reserve(specs.size());
   const auto t0 = std::chrono::steady_clock::now();
@@ -250,7 +260,9 @@ BatchTiming run_batch(api::Service& service, const std::vector<std::string>& spe
   st.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  st.cluster_reuses = service.stats().cluster_reuses - reuses_before;
+  const api::ServiceStats after = service.stats();
+  st.cluster_reuses = after.cluster_reuses - before.cluster_reuses;
+  st.replayed_cycles = after.replayed_cycles - before.replayed_cycles;
   if (reference && st.jobs_failed != 0) {
     std::fprintf(stderr, "FATAL: %" PRIu64 " job(s) of mix %s failed\n",
                  st.jobs_failed, mix_name.c_str());
@@ -296,7 +308,7 @@ int main(int argc, char** argv) {
 
   bool all_deterministic = true;
   TablePrinter table({"Mix", "Jobs", "Threads", "Wall s", "SimCycles/s", "SimMACs/s",
-                      "Jobs/s", "Speedup", "Efficiency"});
+                      "Jobs/s", "Speedup", "Efficiency", "Replayed"});
 
   std::vector<Mix> mixes = make_mixes(smoke, reps);
   mixes.push_back({"mixed_workload", registry_mix(smoke, reps)});
@@ -363,13 +375,15 @@ int main(int argc, char** argv) {
       json.add(prefix + ".efficiency", speedup / p.threads, "frac");
       json.add(prefix + ".cluster_reuses", static_cast<double>(p.stats.cluster_reuses),
                "jobs");
+      json.add(prefix + ".replayed_share", p.stats.replayed_share(), "frac");
       table.add_row({mn, TablePrinter::fmt_int(mix.specs.size()),
                      TablePrinter::fmt_int(p.threads), TablePrinter::fmt(p.stats.wall_s, 3),
                      TablePrinter::fmt(p.stats.cycles_per_sec(), 0),
                      TablePrinter::fmt(p.stats.macs_per_sec(), 0),
                      TablePrinter::fmt(p.stats.jobs_per_sec(), 1),
                      TablePrinter::fmt(speedup, 2),
-                     TablePrinter::fmt(speedup / p.threads, 2)});
+                     TablePrinter::fmt(speedup / p.threads, 2),
+                     TablePrinter::fmt(p.stats.replayed_share(), 2)});
     }
   }
 

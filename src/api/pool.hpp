@@ -23,8 +23,10 @@
 ///    (shared_ptr<const>, atomic refcounts), so worker threads fork from one
 ///    cache without touching each other's clusters.
 ///  - cluster::TimingCache: each pool owns one and attaches it to every
-///    cluster it builds, so a tiled GEMM that repeats on a pooled cluster
-///    replays its recorded cycle-model outcome (bit- and cycle-identical).
+///    cluster it builds, so a GEMM program that repeats on a pooled cluster
+///    -- a monolithic gemm: offload or a tiled GEMM, alone or inside a
+///    network step -- replays its recorded cycle-model outcome (bit- and
+///    cycle-identical).
 ///    Clusters outside a pool never get one: Service::run_one and every
 ///    directly built cluster always run the cycle model.
 ///
@@ -129,7 +131,7 @@ class ClusterPool {
   /// acquire_template() calls that staged + published the template.
   uint64_t template_misses() const { return template_misses_; }
   /// The pool's timing cache, attached to every cluster it constructs:
-  /// repeated tiled GEMMs on them replay their recorded cycle-model outcome
+  /// repeated GEMM programs on them replay their recorded cycle-model outcome
   /// (cluster/timing_cache.hpp). Worker-private like the pool itself.
   const cluster::TimingCache& timing_cache() const { return *timing_cache_; }
 

@@ -294,6 +294,7 @@ void Service::run_job(ClusterPool& pool, Pending& job) {
   PoolCounters counters;
   const cluster::TimingCache::Counters tc0 = pool.timing_cache().counters();
   unsigned attempt = 0;
+  uint64_t replayed0 = tc0.replayed_cycles;  // at the start of the last attempt
   WorkloadResult res = execute(pool, job, 0, counters);
   // Bounded retry: only the transient kEngineFault class re-runs. Every
   // attempt re-executes from the spec on a reset cluster, so a retried
@@ -303,15 +304,18 @@ void Service::run_job(ClusterPool& pool, Pending& job) {
          attempt < job.max_retries &&
          !job.cancel->load(std::memory_order_relaxed)) {
     ++attempt;
+    replayed0 = pool.timing_cache().counters().replayed_cycles;
     res = execute(pool, job, static_cast<int32_t>(attempt), counters);
   }
   const cluster::TimingCache::Counters& tc1 = pool.timing_cache().counters();
   // Unsigned wrap-around keeps a shrinking byte count exact in the sum.
   counters.timing_cache = {tc1.hits - tc0.hits, tc1.misses - tc0.misses,
-                           tc1.evictions - tc0.evictions, tc1.bytes - tc0.bytes};
+                           tc1.evictions - tc0.evictions, tc1.bytes - tc0.bytes,
+                           tc1.replayed_cycles - tc0.replayed_cycles};
   const bool ok = res.ok();
   const uint64_t cycles = res.stats.cycles;
   const uint64_t macs = res.stats.macs;
+  const uint64_t replayed = std::min(tc1.replayed_cycles - replayed0, cycles);
 
   // Stats become visible before the future is fulfilled, so a caller that
   // just observed its result reads consistent aggregate counters. The
@@ -323,6 +327,8 @@ void Service::run_job(ClusterPool& pool, Pending& job) {
   if (ok) {
     stats_.sim_cycles += cycles;
     stats_.macs += macs;
+    stats_.modeled_cycles += cycles - replayed;
+    stats_.replayed_cycles += replayed;
   } else {
     ++stats_.failed;
     if (res.error.code == ErrorCode::kCancelled) ++stats_.cancelled;

@@ -144,14 +144,22 @@ struct ServiceStats {
   /// sum counts the executions that took the template path at all.
   uint64_t template_forks = 0;
   uint64_t template_misses = 0;
-  /// The workers' timing caches (cluster/timing_cache.hpp): tiled GEMMs
-  /// replayed from a recorded outcome, GEMMs recorded after a cycle-model
+  /// The workers' timing caches (cluster/timing_cache.hpp): GEMM programs
+  /// replayed from a recorded outcome, programs recorded after a cycle-model
   /// run, entries evicted, and the bytes the caches hold now (the per-job
   /// changes add up to the current total).
   uint64_t timing_cache_hits = 0;
   uint64_t timing_cache_misses = 0;
   uint64_t timing_cache_evictions = 0;
   uint64_t timing_cache_bytes = 0;
+  /// sim_cycles split by how they were produced: replayed from a timing
+  /// cache record, or simulated by the cycle model. Summed per ok job like
+  /// sim_cycles, so the two add up to it. A job's replayed figure is the
+  /// cycles its replayed GEMM programs reported, capped at the job's own
+  /// cycles: a sharded job reports a makespan over slices that ran one
+  /// after another, which can be less than their replays add up to.
+  uint64_t modeled_cycles = 0;
+  uint64_t replayed_cycles = 0;
 };
 
 /// Move-only handle to one submitted job: its id (for cancel()) and the

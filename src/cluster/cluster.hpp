@@ -68,8 +68,9 @@ class Cluster {
   /// hardware state (see api::ScopedRunControl for the RAII wrapper).
   void install_run_control(sim::RunControl* rc);
 
-  /// Attaches (nullptr = detaches) the timing cache that tiled GEMMs on this
-  /// cluster consult (cluster/timing_cache.hpp). Not owned. Only
+  /// Attaches (nullptr = detaches) the timing cache that GEMM programs on
+  /// this cluster (monolithic offloads and tiled GEMMs) consult
+  /// (cluster/timing_cache.hpp). Not owned. Only
   /// api::ClusterPool attaches one, to the clusters it holds; like the run
   /// control it is wiring, not hardware state, so reset() keeps it.
   void set_timing_cache(TimingCache* cache) { timing_cache_ = cache; }

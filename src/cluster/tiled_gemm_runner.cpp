@@ -48,11 +48,6 @@ struct TileBuffers {
   std::array<uint32_t, 2> xb{}, wb{}, zb{};
 };
 
-/// True when the byte ranges [a, a + a_len) and [b, b + b_len) intersect.
-bool overlaps(uint32_t a, uint64_t a_len, uint32_t b, uint64_t b_len) {
-  return a < b + b_len && b < a + a_len;
-}
-
 }  // namespace
 
 TiledGemmRunner::TiledGemmRunner(Cluster& cluster, RedmuleDriver& driver,
@@ -331,47 +326,28 @@ TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
   for (unsigned i = 0; i < plan.z_buffers(); ++i) buf.zb[i] = drv_.alloc(plan.z_buf_bytes());
   const std::vector<Step> steps = make_schedule(plan);
 
+  const uint64_t x_len = 2ull * m * np, w_len = 2ull * np * kp, z_len = 2ull * m * kp;
+  const OperandBytes y{addrs.y_addr, z_len};
+  TimingCache* cache = replay_cache(cl_, drv_.job_pending(), {addrs.x_addr, x_len},
+                                    {addrs.w_addr, w_len}, {addrs.z_addr, z_len},
+                                    plan.has_y ? &y : nullptr);
   TiledGemmStats stats;
-  TimingCache* cache = replayable(addrs, plan) ? cl_.timing_cache() : nullptr;
   if (cache == nullptr) {
     stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
   } else {
-    TimingKey key{cl_.config(), addrs,      plan, opts_.double_buffer,
-                  alloc_mark,   ModuleState::save(cl_)};
+    TimingKey key{cl_.config(), ModuleState::save(cl_),
+                  TiledProgram{addrs, plan, opts_.double_buffer, alloc_mark}};
     const TimingOutcome* rec = cache->find(key);
-    // An armed cycle budget that ends inside the recorded run must abort on
-    // the model's cycle with the model's error, so the model runs it.
-    const sim::RunControl* rc = cl_.sim().run_control();
-    if (rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle)) {
-      cache->count_hit();
+    if (may_replay(cl_, rec)) {
+      cache->count_hit(rec->stats.total_cycles);
       stats = replay(cl_, addrs, plan, steps, buf, *rec);
     } else {
       stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
-      if (rec == nullptr && cl_.sim().quiescent())
-        cache->insert(std::move(key), TimingOutcome{ModuleState::save(cl_), stats});
+      if (rec == nullptr) cache->record(std::move(key), cl_, stats);
     }
   }
   drv_.free_to(alloc_mark);
   return stats;
-}
-
-bool TiledGemmRunner::replayable(const StagedGemm& addrs,
-                                 const TiledGemmPlan& plan) const {
-  if (cl_.timing_cache() == nullptr) return false;
-  // Fault events act on the model's cycles; an observer wants its schedule;
-  // with idle skipping off the cores tick, and their state is not recorded.
-  const sim::RunControl* rc = cl_.sim().run_control();
-  if ((rc != nullptr && rc->faults_armed()) || cl_.redmule().has_schedule_observer() ||
-      !cl_.sim().idle_skipping() || !cl_.sim().quiescent() || drv_.job_pending())
-    return false;
-  // The replay reads every operand from L2 at entry, which is what the DMA
-  // reads only when no Z store can land on X, W or a Y tile read later.
-  const uint64_t z_len = 2ull * plan.m * plan.k;
-  if (overlaps(addrs.z_addr, z_len, addrs.x_addr, 2ull * plan.m * plan.n) ||
-      overlaps(addrs.z_addr, z_len, addrs.w_addr, 2ull * plan.n * plan.k))
-    return false;
-  return !plan.has_y || addrs.y_addr == addrs.z_addr ||
-         !overlaps(addrs.z_addr, z_len, addrs.y_addr, z_len);
 }
 
 }  // namespace redmule::cluster

@@ -123,12 +123,6 @@ class TiledGemmRunner {
                             const workloads::TiledGemmPlan& plan);
 
  private:
-  /// True when a timing cache is attached and may serve this call: no fault
-  /// plan or schedule observer, idle skipping on, a quiescent cluster on
-  /// entry, and Z disjoint from X, W and (unless it is Y itself) Y.
-  bool replayable(const StagedGemm& addrs,
-                  const workloads::TiledGemmPlan& plan) const;
-
   Cluster& cl_;
   RedmuleDriver& drv_;
   TiledGemmOptions opts_;

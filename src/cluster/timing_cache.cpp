@@ -52,11 +52,40 @@ uint64_t TimingKey::hash() const {
   Mix m;
   m.add_all({config.geometry.h, config.geometry.l, config.geometry.p,
              config.tcdm.n_banks, config.tcdm.words_per_bank, config.l2.size_bytes});
-  m.add_all({addrs.x_addr, addrs.w_addr, addrs.z_addr, addrs.y_addr});
-  m.add_all({plan.m, plan.n, plan.k, plan.tile_m, plan.tile_n, plan.tile_k,
-             plan.has_y ? 1u : 0u, double_buffer ? 1u : 0u, alloc_mark});
+  m.add(program.index());
+  if (const TiledProgram* t = std::get_if<TiledProgram>(&program)) {
+    const StagedGemm& a = t->addrs;
+    const workloads::TiledGemmPlan& p = t->plan;
+    m.add_all({a.x_addr, a.w_addr, a.z_addr, a.y_addr});
+    m.add_all({p.m, p.n, p.k, p.tile_m, p.tile_n, p.tile_k, p.has_y ? 1u : 0u,
+               t->double_buffer ? 1u : 0u, t->alloc_mark});
+  } else {
+    const core::Job& j = std::get<core::Job>(program);
+    m.add_all({j.x_ptr, j.w_ptr, j.z_ptr, j.y_ptr, j.m, j.n, j.k,
+               j.accumulate ? 1u : 0u});
+  }
   mix_state(m, pre);
   return m.h;
+}
+
+TimingCache* replay_cache(const Cluster& cl, bool job_pending, OperandBytes x,
+                          OperandBytes w, OperandBytes z, const OperandBytes* y) {
+  if (cl.timing_cache() == nullptr) return nullptr;
+  const sim::RunControl* rc = cl.sim().run_control();
+  if ((rc != nullptr && rc->faults_armed()) || cl.redmule().has_schedule_observer() ||
+      !cl.sim().idle_skipping() || !cl.sim().quiescent() || job_pending)
+    return nullptr;
+  const auto overlaps = [](OperandBytes a, OperandBytes b) {
+    return a.addr < b.addr + b.len && b.addr < a.addr + a.len;
+  };
+  if (overlaps(z, x) || overlaps(z, w)) return nullptr;
+  if (y != nullptr && y->addr != z.addr && overlaps(z, *y)) return nullptr;
+  return cl.timing_cache();
+}
+
+bool may_replay(const Cluster& cl, const TimingOutcome* rec) {
+  const sim::RunControl* rc = cl.sim().run_control();
+  return rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle);
 }
 
 const TimingOutcome* TimingCache::find(const TimingKey& key) {

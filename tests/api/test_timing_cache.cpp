@@ -1,14 +1,19 @@
-// The timing cache soak: every user of the tiled seam, run on pooled
-// clusters (where the cache records and replays), must be bit- and
-// cycle-identical to Service::run_one on a fresh cluster (which never has a
-// cache), and the cache must step aside whenever replaying could differ:
+// The timing cache soak: every GEMM program the registry can build (a
+// monolithic gemm: offload, or a tiled GEMM on its own or inside a network
+// step), run on pooled clusters (where the cache records and replays), must
+// be bit- and cycle-identical to Service::run_one on a fresh cluster (which
+// never has a cache), and the cache must step aside whenever replaying could
+// differ:
 //
-//  - SOAK: tiled (plain, acc=1, ragged), network cold and warm=1, and
-//    sharded jobs through one 2-worker Service, twice; z_hash and JobStats
-//    equal run_one's.
+//  - SOAK: gemm (perfbench's oneoff_mixed and serve_small_gemm shapes),
+//    tiled (plain, acc=1, ragged), network cold and warm=1, and sharded jobs
+//    through one 2-worker Service, twice; z_hash and JobStats equal
+//    run_one's.
 //  - STATE: a pooled cluster right after a hit has the snapshot fingerprint
 //    (TCDM, L2, module states) of a fresh cluster that ran the model, and
 //    per-GEMM network stats are identical.
+//  - STATS: modeled plus replayed cycles add up to sim_cycles, and a round
+//    of repeated GEMM jobs is replayed whole.
 //  - BYPASS: a cycle limit inside a recorded GEMM aborts on the model's
 //    cycle with the model's error; a fault plan and idle skipping off run
 //    the model and record nothing.
@@ -51,12 +56,23 @@ cluster::ClusterConfig small_base() {
   return base;
 }
 
+const char* kGemm = "gemm:m=48,n=40,k=64,geom=2x4x3,seed=7";
 const char* kTiled = "tiled:m=48,n=48,k=48,geom=4x8x3,seed=11";
 const char* kNetwork = "network:in=24,hidden=12-6-12,batch=2,geom=4x8x3,seed=24";
 
-/// Every user of TiledGemmRunner::run_staged the registry can build.
+/// Every kind of GEMM program the registry can build: monolithic offloads
+/// (oneoff_mixed's six GEMM entries and two serve_small_gemm shapes from
+/// perfbench) and every user of TiledGemmRunner::run_staged.
 const std::vector<std::string>& seam_specs() {
   static const std::vector<std::string> specs = {
+      "gemm:m=16,n=24,k=32,geom=4x8x3,seed=31",
+      kGemm,
+      "gemm:m=32,n=64,k=16,geom=8x8x3,seed=32",
+      "gemm:m=64,n=48,k=56,geom=4x16x3,seed=33",
+      "gemm:m=56,n=32,k=40,geom=2x4x3,seed=34",
+      "gemm:m=40,n=56,k=24,geom=8x8x3,seed=35",
+      "gemm:m=16,n=16,k=16,seed=36",
+      "gemm:m=8,n=13,k=10,seed=37,acc=1",
       kTiled,
       "tiled:m=32,n=48,k=32,geom=2x4x3,seed=23,acc=1",
       "tiled:m=45,n=37,k=27,geom=4x8x3,seed=5",
@@ -130,6 +146,43 @@ TEST(TimingCacheSoak, EverySeamUserMatchesRunOneTwice) {
   EXPECT_LE(st.timing_cache_bytes, 2 * cluster::TimingCache::kBudgetBytes);
 }
 
+// --- Modeled and replayed cycles ---------------------------------------------------
+
+TEST(TimingCacheStats, ModeledPlusReplayedIsSimCycles) {
+  Service service(service_config(1));
+  uint64_t round_cycles = 0;
+  for (const std::string& spec : seam_specs()) {
+    const WorkloadResult r = submit(service, spec);
+    ASSERT_TRUE(r.ok()) << spec << ": " << r.error.to_string();
+    round_cycles += r.stats.cycles;
+  }
+  const api::ServiceStats first = service.stats();
+  EXPECT_EQ(first.modeled_cycles + first.replayed_cycles, first.sim_cycles);
+  EXPECT_EQ(first.sim_cycles, round_cycles);
+  EXPECT_GT(first.modeled_cycles, 0u);
+
+  // A second round of the gemm: and tiled: jobs replays every GEMM program.
+  uint64_t gemm_cycles = 0;
+  for (const std::string& spec : seam_specs()) {
+    if (spec.rfind("network:", 0) == 0 || spec.rfind("sharded_network:", 0) == 0) continue;
+    const WorkloadResult r = submit(service, spec);
+    ASSERT_TRUE(r.ok()) << spec << ": " << r.error.to_string();
+    gemm_cycles += r.stats.cycles;
+  }
+  const api::ServiceStats second = service.stats();
+  EXPECT_EQ(second.modeled_cycles + second.replayed_cycles, second.sim_cycles);
+  EXPECT_EQ(second.modeled_cycles, first.modeled_cycles);
+  EXPECT_EQ(second.replayed_cycles - first.replayed_cycles, gemm_cycles);
+
+  // A failed job adds to neither.
+  SubmitOptions opts;
+  opts.deadline = Deadline{100, 0};
+  EXPECT_FALSE(submit(service, kGemm, opts).ok());
+  const api::ServiceStats third = service.stats();
+  EXPECT_EQ(third.modeled_cycles, second.modeled_cycles);
+  EXPECT_EQ(third.replayed_cycles, second.replayed_cycles);
+}
+
 // --- State after a hit ------------------------------------------------------------
 
 TEST(TimingCacheState, PooledClusterAfterAHitMatchesAFreshCluster) {
@@ -201,11 +254,11 @@ TEST(TimingCacheState, PerGemmNetworkStatsAreIdentical) {
 // --- Bypass rules ---------------------------------------------------------------
 
 TEST(TimingCacheBypass, CycleLimitInsideARecordedGemmAbortsOnTheModelCycle) {
-  // The tiled spec's one GEMM spans several tiles and checkpoint intervals,
-  // so the model aborts well before the GEMM's end cycle; the network's
+  // The gemm and tiled specs' one GEMM program spans several checkpoint
+  // intervals, so the model aborts well before its end cycle; the network's
   // GEMMs that end before the budget still replay.
   Service service(service_config(1));
-  for (const std::string spec : {kTiled, kNetwork}) {
+  for (const std::string spec : {kGemm, kTiled, kNetwork}) {
     const WorkloadResult full = run_one(spec);
     ASSERT_TRUE(full.ok());
     ASSERT_TRUE(submit(service, spec).ok());  // records every GEMM
@@ -257,6 +310,25 @@ TEST(TimingCacheBypass, FaultPlanRunsTheModelAndRecordsNothing) {
   const api::ServiceStats after = service.stats();
   EXPECT_EQ(after.timing_cache_hits, before.timing_cache_hits);
   EXPECT_EQ(after.timing_cache_misses, before.timing_cache_misses);
+}
+
+TEST(TimingCacheBypass, FaultPlanBypassesAMonolithicGemm) {
+  Service service(service_config(1));
+  ASSERT_TRUE(submit(service, kGemm).ok());  // records the job
+  const api::ServiceStats before = service.stats();
+
+  // The stall lands after the job ends: armed faults alone bypass the cache.
+  sim::FaultPlan plan;
+  plan.add({sim::FaultKind::kDmaStall, 1'000'000, 10, -1});
+  SubmitOptions opts;
+  opts.fault_plan = &plan;
+  const WorkloadResult pooled = submit(service, kGemm, opts);
+  ASSERT_TRUE(pooled.ok()) << pooled.error.to_string();
+  EXPECT_EQ(outcome_of(pooled), outcome_of(run_one(kGemm)));
+  const api::ServiceStats after = service.stats();
+  EXPECT_EQ(after.timing_cache_hits, before.timing_cache_hits);
+  EXPECT_EQ(after.timing_cache_misses, before.timing_cache_misses);
+  EXPECT_EQ(after.replayed_cycles, before.replayed_cycles);
 }
 
 TEST(TimingCacheBypass, IdleSkippingOffRunsTheModelAndRecordsNothing) {

@@ -6,10 +6,14 @@
 /// tiled and per-GEMM stats, and the non-memory state of the simulator, the
 /// HCI, the DMA and the accelerator after every GEMM. The per-GEMM states
 /// are taken from a TimingCache attached as a recorder: it stores the state
-/// before and after each tiled GEMM the cycle model runs. This contract is
-/// what lets a pooled cluster replay a recorded GEMM (cluster/timing_cache.hpp).
+/// before and after each GEMM program (a tiled GEMM or a monolithic offload)
+/// the cycle model runs. This contract is what lets a pooled cluster replay
+/// a recorded GEMM (cluster/timing_cache.hpp), and the monolithic cases also
+/// check that such a replay equals the model.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -17,6 +21,7 @@
 #include "cluster/network_runner.hpp"
 #include "cluster/tiled_gemm_runner.hpp"
 #include "cluster/timing_cache.hpp"
+#include "state/snapshot.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/network.hpp"
 
@@ -84,30 +89,178 @@ void expect_same_recording(const TimingCache& a, const TimingCache& b,
 
 // --- Monolithic GEMM --------------------------------------------------------
 
-struct MonolithicRun {
-  core::JobStats stats;
-  ModuleState after;
+struct MonolithicCase {
+  const char* name;
+  core::Geometry geometry;
+  uint32_t m, n, k;
+  bool with_y;
 };
 
-MonolithicRun run_monolithic(bool salt, bool with_y) {
-  Cluster cl;
+/// Every default-TCDM geometry family, accumulation, odd n and k, and the
+/// smallest job.
+const MonolithicCase kMonolithicCases[] = {
+    {"2x4x3", {2, 4, 3}, 37, 53, 29, false},
+    {"4x8x3 acc", {4, 8, 3}, 37, 53, 29, true},
+    {"8x8x3", {8, 8, 3}, 40, 24, 36, false},
+    {"4x16x3 acc", {4, 16, 3}, 33, 20, 48, true},
+    {"odd n and k", {4, 8, 3}, 12, 13, 13, true},
+    {"1x1x1", {4, 8, 3}, 1, 1, 1, false},
+};
+
+ClusterConfig config_of(const MonolithicCase& c) {
+  ClusterConfig cfg;
+  cfg.geometry = c.geometry;
+  while (cfg.tcdm.n_banks < cfg.geometry.mem_ports()) cfg.tcdm.n_banks *= 2;
+  return cfg;
+}
+
+struct MonolithicRun {
+  MatrixF16 z;
+  core::JobStats stats;
+  ModuleState after;
+  uint64_t fingerprint = 0;
+};
+
+/// One offload of the case on a reset \p cl (which may have a cache), with
+/// operands drawn from \p seed.
+MonolithicRun offload(Cluster& cl, const MonolithicCase& c, bool salt, uint64_t seed = 1) {
+  cl.reset();
   RedmuleDriver drv(cl);
-  const MatrixF16 x = operand(37, 53, 1, salt);
-  const MatrixF16 w = operand(53, 29, 2, salt);
-  const MatrixF16 y = operand(37, 29, 3, salt);
-  MonolithicRun r;
-  r.stats = with_y ? drv.gemm_acc(x, w, y).stats : drv.gemm(x, w).stats;
-  r.after = ModuleState::save(cl);
-  return r;
+  const MatrixF16 x = operand(c.m, c.n, split_seed(seed, 0), salt);
+  const MatrixF16 w = operand(c.n, c.k, split_seed(seed, 1), salt);
+  const MatrixF16 y = operand(c.m, c.k, split_seed(seed, 2), salt);
+  RedmuleDriver::GemmResult res = c.with_y ? drv.gemm_acc(x, w, y) : drv.gemm(x, w);
+  return {std::move(res.z), res.stats, ModuleState::save(cl), state::snapshot(cl).fingerprint};
+}
+
+bool same_bits(const MatrixF16& a, const MatrixF16& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
 }
 
 TEST(TimingContract, MonolithicGemm) {
-  for (const bool with_y : {false, true}) {
-    const MonolithicRun plain = run_monolithic(false, with_y);
-    const MonolithicRun salt = run_monolithic(true, with_y);
-    EXPECT_EQ(plain.stats, salt.stats) << "with_y=" << with_y;
-    EXPECT_TRUE(plain.after == salt.after) << "with_y=" << with_y;
+  for (const MonolithicCase& c : kMonolithicCases) {
+    TimingCache rec_plain, rec_salt;
+    Cluster a(config_of(c)), b(config_of(c));
+    a.set_timing_cache(&rec_plain);
+    b.set_timing_cache(&rec_salt);
+    const MonolithicRun plain = offload(a, c, false);
+    const MonolithicRun salt = offload(b, c, true);
+    EXPECT_EQ(plain.stats, salt.stats) << c.name;
+    EXPECT_TRUE(plain.after == salt.after) << c.name;
+    expect_same_recording(rec_plain, rec_salt, 1);
   }
+}
+
+TEST(TimingContract, MonolithicHitEqualsTheModel) {
+  // Recorded on salted operands, replayed on ordinary ones drawn from
+  // another seed (salted outputs are mostly NaN, which would hide a wrong
+  // replayed Z): what a hit leaves depends on the key, never on the data.
+  for (const MonolithicCase& c : kMonolithicCases) {
+    TimingCache cache;
+    Cluster pooled(config_of(c));
+    pooled.set_timing_cache(&cache);
+    (void)offload(pooled, c, true, 1);
+    const MonolithicRun hit = offload(pooled, c, false, 2);
+    ASSERT_EQ(cache.counters().hits, 1u) << c.name;
+    EXPECT_EQ(cache.counters().replayed_cycles, hit.stats.cycles) << c.name;
+
+    Cluster fresh(config_of(c));
+    const MonolithicRun model = offload(fresh, c, false, 2);
+    EXPECT_TRUE(same_bits(hit.z, model.z)) << c.name;
+    EXPECT_EQ(hit.stats, model.stats) << c.name;
+    EXPECT_TRUE(hit.after == model.after) << c.name;
+    EXPECT_EQ(hit.fingerprint, model.fingerprint) << c.name;
+  }
+}
+
+/// One run_job() on a reset \p cl with Y at \p y_offset bytes past Z: 0 is
+/// the in-place accumulation the tiled runner uses, anything else inside
+/// Z's bytes a partial overlap.
+MonolithicRun offload_in_place(Cluster& cl, uint32_t y_offset, uint64_t seed) {
+  cl.reset();
+  RedmuleDriver drv(cl);
+  const uint32_t m = 12, n = 20, k = 18;
+  core::Job job;
+  job.x_ptr = drv.place_matrix(operand(m, n, split_seed(seed, 0), false));
+  job.w_ptr = drv.place_matrix(operand(n, k, split_seed(seed, 1), false));
+  job.z_ptr = drv.alloc(2 * m * k + y_offset);
+  job.y_ptr = job.z_ptr + y_offset;
+  drv.write_matrix(job.y_ptr, operand(m, k, split_seed(seed, 2), false));
+  job.m = m;
+  job.n = n;
+  job.k = k;
+  job.accumulate = true;
+  MonolithicRun r;
+  r.stats = drv.run_job(job);
+  r.z = drv.read_matrix(job.z_ptr, m, k);
+  r.after = ModuleState::save(cl);
+  r.fingerprint = state::snapshot(cl).fingerprint;
+  return r;
+}
+
+TEST(TimingContract, MonolithicYAliasingZ) {
+  ClusterConfig cfg;
+  for (const uint32_t y_offset : {0u, 4u}) {
+    TimingCache cache;
+    Cluster pooled(cfg), fresh(cfg);
+    pooled.set_timing_cache(&cache);
+    (void)offload_in_place(pooled, y_offset, 1);
+    const MonolithicRun run = offload_in_place(pooled, y_offset, 2);
+    const MonolithicRun model = offload_in_place(fresh, y_offset, 2);
+    EXPECT_TRUE(same_bits(run.z, model.z)) << "y_offset " << y_offset;
+    EXPECT_EQ(run.stats, model.stats) << "y_offset " << y_offset;
+    EXPECT_TRUE(run.after == model.after) << "y_offset " << y_offset;
+    EXPECT_EQ(run.fingerprint, model.fingerprint) << "y_offset " << y_offset;
+    // Y == Z replays; a Y that only partly overlaps Z runs the model.
+    EXPECT_EQ(cache.counters().hits, y_offset == 0 ? 1u : 0u) << "y_offset " << y_offset;
+    EXPECT_EQ(cache.counters().misses, y_offset == 0 ? 1u : 0u) << "y_offset " << y_offset;
+  }
+}
+
+TEST(TimingContract, ScheduleObserverBypassesTheCache) {
+  const MonolithicCase& c = kMonolithicCases[1];
+  TimingCache cache;
+  Cluster pooled(config_of(c));
+  pooled.set_timing_cache(&cache);
+  (void)offload(pooled, c, false);  // records the job
+  uint64_t advances = 0;
+  pooled.redmule().set_schedule_observer(
+      [&](uint64_t, const std::vector<core::Datapath::ColumnIssue>&,
+          const std::optional<core::Datapath::Capture>&) { ++advances; });
+  const MonolithicRun observed = offload(pooled, c, false);
+  EXPECT_GT(advances, 0u) << "the observer must see the model's schedule";
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().misses, 1u);
+  Cluster fresh(config_of(c));
+  EXPECT_EQ(observed.stats, offload(fresh, c, false).stats);
+}
+
+TEST(TimingKey, TiledAndMonolithicKeysNeverCompareEqual) {
+  // The same config and pre-state, and a job whose fields mirror the tiled
+  // program's addresses and extents: only the program kind differs.
+  Cluster cl;
+  const ModuleState pre = ModuleState::save(cl);
+  TiledProgram tiled;
+  tiled.addrs = {0x100, 0x200, 0x300, 0x300};
+  tiled.plan.m = tiled.plan.tile_m = 4;
+  tiled.plan.n = tiled.plan.tile_n = 4;
+  tiled.plan.k = tiled.plan.tile_k = 4;
+  core::Job job;
+  job.x_ptr = 0x100;
+  job.w_ptr = 0x200;
+  job.z_ptr = job.y_ptr = 0x300;
+  job.m = job.n = job.k = 4;
+  const TimingKey a{cl.config(), pre, tiled};
+  const TimingKey b{cl.config(), pre, job};
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(a == TimingKey(a));
+  EXPECT_TRUE(b == TimingKey(b));
+
+  TimingCache cache;
+  cache.insert(a, TimingOutcome{pre, {}});
+  EXPECT_EQ(cache.find(b), nullptr);
+  EXPECT_NE(cache.find(a), nullptr);
 }
 
 // --- Tiled GEMM -------------------------------------------------------------
