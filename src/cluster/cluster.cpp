@@ -61,4 +61,16 @@ void Cluster::reset() {
   sim_.reset_counters();
 }
 
+ModuleState ModuleState::save(const Cluster& cl) {
+  return ModuleState{cl.sim().save_state(), cl.hci().save_state(),
+                     cl.dma().save_state(), cl.redmule().save_state()};
+}
+
+void ModuleState::restore(Cluster& cl) const {
+  cl.sim().restore_state(sim);
+  cl.hci().restore_state(hci);
+  cl.dma().restore_state(dma);
+  cl.redmule().restore_state(engine);
+}
+
 }  // namespace redmule::cluster

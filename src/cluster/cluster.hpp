@@ -117,4 +117,21 @@ class Cluster {
   TimingCache* timing_cache_ = nullptr;
 };
 
+/// The non-memory state of a quiescent cluster's timed modules: the kernel
+/// counters, the interconnect, the DMA and the accelerator. With the two
+/// memories and the cores it is a whole state::ClusterImage; alone it is the
+/// whole timing state of a GEMM program (cluster/timing_cache.hpp).
+struct ModuleState {
+  sim::Simulator::State sim;
+  mem::Hci::State hci;
+  mem::DmaEngine::State dma;
+  core::RedmuleEngine::State engine;
+
+  /// Requires a quiescent cluster (every save_state() does).
+  static ModuleState save(const Cluster& cl);
+  void restore(Cluster& cl) const;
+
+  friend bool operator==(const ModuleState&, const ModuleState&) = default;
+};
+
 }  // namespace redmule::cluster

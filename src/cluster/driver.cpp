@@ -1,31 +1,9 @@
 #include "cluster/driver.hpp"
 
-#include <optional>
-
 #include "cluster/timing_cache.hpp"
 #include "core/regfile.hpp"
 
 namespace redmule::cluster {
-
-namespace {
-
-/// A timing-cache hit of run_job(): writes the golden Z over the TCDM
-/// operands and restores the recorded post-state \p post.
-void replay_job(RedmuleDriver& drv, Cluster& cl, const core::Job& job,
-                const ModuleState& post) {
-  cl.sim().checkpoint();
-  // Every operand is read before Z is written: Y may be Z's own region.
-  const MatrixF16 x = drv.read_matrix(job.x_ptr, job.m, job.n);
-  const MatrixF16 w = drv.read_matrix(job.w_ptr, job.n, job.k);
-  std::optional<MatrixF16> y;
-  if (job.accumulate) y = drv.read_matrix(job.y_ptr, job.m, job.k);
-  drv.write_matrix(job.z_ptr,
-                   core::golden_gemm_padded(x, w, cl.config().geometry, y ? &*y : nullptr));
-  post.restore(cl);
-  cl.sim().checkpoint();
-}
-
-}  // namespace
 
 RedmuleDriver::RedmuleDriver(Cluster& cluster)
     : cluster_(cluster), next_free_(cluster.tcdm().config().base_addr) {}
@@ -121,28 +99,15 @@ core::JobStats RedmuleDriver::wait_job() {
 }
 
 core::JobStats RedmuleDriver::run_job(const core::Job& job) {
-  const uint64_t z_len = 2ull * job.m * job.k;
-  const OperandBytes y{job.y_ptr, z_len};
-  TimingCache* cache = replay_cache(cluster_, job_pending_,
-                                    {job.x_ptr, 2ull * job.m * job.n},
-                                    {job.w_ptr, 2ull * job.n * job.k},
-                                    {job.z_ptr, z_len}, job.accumulate ? &y : nullptr);
-  if (cache == nullptr) {
-    start_job(job);
-    return wait_job();
-  }
-  TimingKey key{cluster_.config(), ModuleState::save(cluster_), job};
-  const TimingOutcome* rec = cache->find(key);
-  if (may_replay(cluster_, rec)) {
-    const core::JobStats& stats = rec->post.engine.last_stats;
-    cache->count_hit(stats.cycles);
-    replay_job(*this, cluster_, job, rec->post);
-    return stats;
-  }
-  start_job(job);
-  const core::JobStats stats = wait_job();
-  if (rec == nullptr) cache->record(std::move(key), cluster_, {});
-  return stats;
+  run_gemm_program(
+      cluster_, job_pending_, job,
+      [&] {
+        start_job(job);
+        wait_job();
+        return TiledGemmStats{};
+      },
+      [](const ReplayedGemm&) {});
+  return cluster_.redmule().last_job_stats();
 }
 
 core::JobStats RedmuleDriver::run_gemm(uint32_t x_addr, uint32_t w_addr,

@@ -7,9 +7,10 @@
 /// interconnect (write job registers, write TRIGGER, wait for the event):
 /// each register access costs one cluster cycle, so offload latency is part
 /// of every measurement, as in the paper's small-matrix utilization plots.
-/// On a pooled cluster (one with a timing cache attached) a repeated
-/// run_job() replays its recorded outcome instead of running the cycle
-/// model; the results, cycles and state are the model's either way.
+/// run_job() goes through the timing-cache seam (cluster/timing_cache.hpp):
+/// on a pooled cluster a repeated job replays its recorded outcome instead
+/// of running the cycle model; the results, cycles and state are the
+/// model's either way.
 #pragma once
 
 #include "cluster/cluster.hpp"
@@ -58,12 +59,10 @@ class RedmuleDriver {
   core::JobStats run_gemm(uint32_t x_addr, uint32_t w_addr, uint32_t z_addr,
                           uint32_t m, uint32_t n, uint32_t k);
 
-  /// Fully general offload (covers the Z = Y + X*W accumulation extension).
-  /// With a timing cache attached (pooled clusters only) a job whose key was
-  /// recorded replays it: Z from the golden model, the recorded module
-  /// state, the same counters, without running the cycle model
-  /// (cluster/timing_cache.hpp). gemm(), gemm_acc() and run_gemm() all end
-  /// here; start_job()/wait_job() never consult the cache.
+  /// Fully general offload (covers the Z = Y + X*W accumulation extension),
+  /// through the timing-cache seam (cluster/timing_cache.hpp). gemm(),
+  /// gemm_acc() and run_gemm() all end here; start_job()/wait_job() never
+  /// consult the cache.
   core::JobStats run_job(const core::Job& job);
 
   /// Non-blocking offload: programs the register file and triggers the job,

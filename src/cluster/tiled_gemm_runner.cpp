@@ -248,32 +248,13 @@ TiledGemmStats run_model(Cluster& cl, RedmuleDriver& drv, bool double_buffer,
   return stats;
 }
 
-/// A timing-cache hit: the recorded outcome of the cycle model, with Z from
-/// the golden model and the TCDM tile buffers rewritten to the bytes the
-/// DMA and the engine leave there.
-TiledGemmStats replay(Cluster& cl, const StagedGemm& addrs,
-                      const TiledGemmPlan& plan, const std::vector<Step>& steps,
-                      const TileBuffers& buf, const TimingOutcome& rec) {
-  cl.sim().checkpoint();
-  auto& l2 = cl.l2();
-  const auto read_l2 = [&](uint32_t addr, uint32_t rows, uint32_t cols) {
-    MatrixF16 mat(rows, cols);
-    l2.read(addr, mat.data(), static_cast<uint32_t>(mat.size_bytes()));
-    return mat;
-  };
-  // Every operand is read before Z is written: Y may be Z's own region.
-  const MatrixF16 x = read_l2(addrs.x_addr, plan.m, plan.n);
-  const MatrixF16 w = read_l2(addrs.w_addr, plan.n, plan.k);
-  std::optional<MatrixF16> y;
-  if (plan.has_y) y = read_l2(addrs.y_addr, plan.m, plan.k);
-  const MatrixF16 z = core::golden_gemm_padded(x, w, cl.config().geometry,
-                                               y ? &*y : nullptr);
-  l2.write(addrs.z_addr, z.data(), static_cast<uint32_t>(z.size_bytes()));
-
-  // The schedule's tile writes, in order, leave each buffer holding its last
-  // tile. A Z slot's Y preload and partial sums cover exactly the region its
-  // final Z tile overwrites, so only the final tiles are written.
-  auto& tcdm = cl.tcdm();
+/// What the model leaves in the TCDM tile buffers beside Z in L2: the
+/// schedule's tile writes, in order, leave each buffer holding its last
+/// tile. A Z slot's Y preload and partial sums cover exactly the region its
+/// final Z tile overwrites, so only the final tiles are written.
+void replay_tile_buffers(mem::Tcdm& tcdm, const TiledGemmPlan& plan,
+                         const std::vector<Step>& steps, const TileBuffers& buf,
+                         const ReplayedGemm& g) {
   const auto put = [&](const MatrixF16& src, uint32_t r0, uint32_t c0,
                        uint32_t rows, uint32_t cols, uint32_t dst) {
     for (uint32_t r = 0; r < rows; ++r)
@@ -281,18 +262,15 @@ TiledGemmStats replay(Cluster& cl, const StagedGemm& addrs,
   };
   if (plan.w_buffers() == 1) {
     const Step& s = steps.front();
-    put(w, s.n0, s.c0, s.tn, s.tk, buf.wb[0]);
+    put(g.w, s.n0, s.c0, s.tn, s.tk, buf.wb[0]);
   }
   for (size_t idx = 0; idx < steps.size(); ++idx) {
     const Step& s = steps[idx];
-    put(x, s.r0, s.n0, s.tm, s.tn, buf.xb[idx % plan.x_buffers()]);
+    put(g.x, s.r0, s.n0, s.tm, s.tn, buf.xb[idx % plan.x_buffers()]);
     if (plan.w_buffers() > 1)
-      put(w, s.n0, s.c0, s.tn, s.tk, buf.wb[idx % plan.w_buffers()]);
-    if (s.last_n) put(z, s.r0, s.c0, s.tm, s.tk, buf.zb[s.ot % plan.z_buffers()]);
+      put(g.w, s.n0, s.c0, s.tn, s.tk, buf.wb[idx % plan.w_buffers()]);
+    if (s.last_n) put(g.z, s.r0, s.c0, s.tm, s.tk, buf.zb[s.ot % plan.z_buffers()]);
   }
-  rec.post.restore(cl);
-  cl.sim().checkpoint();
-  return rec.stats;
 }
 
 }  // namespace
@@ -326,26 +304,10 @@ TiledGemmStats TiledGemmRunner::run_staged(const StagedGemm& addrs,
   for (unsigned i = 0; i < plan.z_buffers(); ++i) buf.zb[i] = drv_.alloc(plan.z_buf_bytes());
   const std::vector<Step> steps = make_schedule(plan);
 
-  const uint64_t x_len = 2ull * m * np, w_len = 2ull * np * kp, z_len = 2ull * m * kp;
-  const OperandBytes y{addrs.y_addr, z_len};
-  TimingCache* cache = replay_cache(cl_, drv_.job_pending(), {addrs.x_addr, x_len},
-                                    {addrs.w_addr, w_len}, {addrs.z_addr, z_len},
-                                    plan.has_y ? &y : nullptr);
-  TiledGemmStats stats;
-  if (cache == nullptr) {
-    stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
-  } else {
-    TimingKey key{cl_.config(), ModuleState::save(cl_),
-                  TiledProgram{addrs, plan, opts_.double_buffer, alloc_mark}};
-    const TimingOutcome* rec = cache->find(key);
-    if (may_replay(cl_, rec)) {
-      cache->count_hit(rec->stats.total_cycles);
-      stats = replay(cl_, addrs, plan, steps, buf, *rec);
-    } else {
-      stats = run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf);
-      if (rec == nullptr) cache->record(std::move(key), cl_, stats);
-    }
-  }
+  const TiledGemmStats stats = run_gemm_program(
+      cl_, drv_.job_pending(), TiledProgram{addrs, plan, opts_.double_buffer, alloc_mark},
+      [&] { return run_model(cl_, drv_, opts_.double_buffer, addrs, plan, steps, buf); },
+      [&](const ReplayedGemm& g) { replay_tile_buffers(cl_.tcdm(), plan, steps, buf, g); });
   drv_.free_to(alloc_mark);
   return stats;
 }

@@ -22,7 +22,9 @@
 /// bit-reproducibility contract. The timing part does not depend on the
 /// operand values at all (tests/cluster/test_timing_contract.cpp), which is
 /// what lets a cluster with a TimingCache attached replay a repeated
-/// run_staged() call instead of simulating it (cluster/timing_cache.hpp).
+/// run_staged() call instead of simulating it: run_staged() goes through
+/// the timing-cache seam (cluster/timing_cache.hpp) and adds only its tile
+/// buffers' bytes to the replay.
 #pragma once
 
 #include <cstdint>
@@ -116,9 +118,8 @@ class TiledGemmRunner {
   /// before returning, so back-to-back calls replan from the full budget.
   /// The returned stats.macs is left 0 -- only the caller knows the problem's
   /// unpadded useful extents; fill it in the way run_planned and
-  /// NetworkRunner do. With a timing cache attached (pooled clusters only)
-  /// a call whose key was recorded replays it: same Z, L2, TCDM, cycles and
-  /// counters, without running the cycle model.
+  /// NetworkRunner do. On a pooled cluster a repeated call replays through
+  /// the timing-cache seam: same Z, L2, TCDM, cycles and counters.
   TiledGemmStats run_staged(const StagedGemm& addrs,
                             const workloads::TiledGemmPlan& plan);
 

@@ -2,6 +2,9 @@
 
 #include <initializer_list>
 #include <iterator>
+#include <optional>
+
+#include "core/golden.hpp"
 
 namespace redmule::cluster {
 
@@ -34,19 +37,50 @@ void mix_state(Mix& m, const ModuleState& s) {
              s.engine.streamer.retry_cycles, s.engine.streamer.idle_port_cycles});
 }
 
+/// The GEMM \p program computes, as one job over its padded operands: a
+/// monolithic job is its own; a tiled program's operands are in L2.
+core::Job gemm_of(const GemmProgram& program) {
+  const TiledProgram* t = std::get_if<TiledProgram>(&program);
+  if (t == nullptr) return std::get<core::Job>(program);
+  const StagedGemm& a = t->addrs;
+  return {a.x_addr, a.w_addr, a.z_addr, a.y_addr, t->plan.m, t->plan.n, t->plan.k, t->plan.has_y};
+}
+
+/// The bypass rules of run_gemm_program() that do not depend on a record.
+bool replayable(const Cluster& cl, bool job_pending, const core::Job& g) {
+  const sim::RunControl* rc = cl.sim().run_control();
+  if ((rc != nullptr && rc->faults_armed()) || cl.redmule().has_schedule_observer() ||
+      !cl.sim().idle_skipping() || !cl.sim().quiescent() || job_pending)
+    return false;
+  const uint64_t z_len = 2ull * g.m * g.k;
+  const auto overlaps_z = [&](uint32_t addr, uint64_t len) {
+    return g.z_ptr < addr + len && addr < g.z_ptr + z_len;
+  };
+  if (overlaps_z(g.x_ptr, 2ull * g.m * g.n) || overlaps_z(g.w_ptr, 2ull * g.n * g.k))
+    return false;
+  return !g.accumulate || g.y_ptr == g.z_ptr || !overlaps_z(g.y_ptr, z_len);
+}
+
+/// Z = [Y +] X * W from the golden model over the operands of \p g in L2
+/// (\p in_l2) or in the TCDM, written over Z. Every operand is read before
+/// Z is written: Y may be Z's own region.
+ReplayedGemm replay_z(Cluster& cl, const core::Job& g, bool in_l2) {
+  const auto read = [&](uint32_t addr, uint32_t rows, uint32_t cols) {
+    MatrixF16 mat(rows, cols);
+    const auto len = static_cast<uint32_t>(mat.size_bytes());
+    in_l2 ? cl.l2().read(addr, mat.data(), len) : cl.tcdm().backdoor_read(addr, mat.data(), len);
+    return mat;
+  };
+  ReplayedGemm r{read(g.x_ptr, g.m, g.n), read(g.w_ptr, g.n, g.k), {}};
+  std::optional<MatrixF16> y;
+  if (g.accumulate) y = read(g.y_ptr, g.m, g.k);
+  r.z = core::golden_gemm_padded(r.x, r.w, cl.config().geometry, y ? &*y : nullptr);
+  const auto len = static_cast<uint32_t>(r.z.size_bytes());
+  in_l2 ? cl.l2().write(g.z_ptr, r.z.data(), len) : cl.tcdm().backdoor_write(g.z_ptr, r.z.data(), len);
+  return r;
+}
+
 }  // namespace
-
-ModuleState ModuleState::save(const Cluster& cl) {
-  return ModuleState{cl.sim().save_state(), cl.hci().save_state(),
-                     cl.dma().save_state(), cl.redmule().save_state()};
-}
-
-void ModuleState::restore(Cluster& cl) const {
-  cl.sim().restore_state(sim);
-  cl.hci().restore_state(hci);
-  cl.dma().restore_state(dma);
-  cl.redmule().restore_state(engine);
-}
 
 uint64_t TimingKey::hash() const {
   Mix m;
@@ -68,24 +102,31 @@ uint64_t TimingKey::hash() const {
   return m.h;
 }
 
-TimingCache* replay_cache(const Cluster& cl, bool job_pending, OperandBytes x,
-                          OperandBytes w, OperandBytes z, const OperandBytes* y) {
-  if (cl.timing_cache() == nullptr) return nullptr;
+TiledGemmStats run_gemm_program(Cluster& cl, bool job_pending, const GemmProgram& program,
+                                CallableRef<TiledGemmStats()> model,
+                                CallableRef<void(const ReplayedGemm&)> replay_writes) {
+  TimingCache* cache = cl.timing_cache();
+  const core::Job g = gemm_of(program);
+  if (cache == nullptr || !replayable(cl, job_pending, g)) return model();
+  TimingKey key{cl.config(), ModuleState::save(cl), program};
+  const TimingOutcome* rec = cache->find(key);
   const sim::RunControl* rc = cl.sim().run_control();
-  if ((rc != nullptr && rc->faults_armed()) || cl.redmule().has_schedule_observer() ||
-      !cl.sim().idle_skipping() || !cl.sim().quiescent() || job_pending)
-    return nullptr;
-  const auto overlaps = [](OperandBytes a, OperandBytes b) {
-    return a.addr < b.addr + b.len && b.addr < a.addr + a.len;
-  };
-  if (overlaps(z, x) || overlaps(z, w)) return nullptr;
-  if (y != nullptr && y->addr != z.addr && overlaps(z, *y)) return nullptr;
-  return cl.timing_cache();
-}
-
-bool may_replay(const Cluster& cl, const TimingOutcome* rec) {
-  const sim::RunControl* rc = cl.sim().run_control();
-  return rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle);
+  if (rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle)) {
+    cl.sim().checkpoint();
+    const bool tiled = std::holds_alternative<TiledProgram>(program);
+    ++cache->counters_.hits;
+    cache->counters_.replayed_cycles +=
+        tiled ? rec->stats.total_cycles : rec->post.engine.last_stats.cycles;
+    replay_writes(replay_z(cl, g, tiled));
+    rec->post.restore(cl);
+    cl.sim().checkpoint();
+    return rec->stats;
+  }
+  const TiledGemmStats stats = model();
+  // A cluster still draining after the run is not capturable.
+  if (rec == nullptr && cl.sim().quiescent())
+    cache->insert(std::move(key), TimingOutcome{ModuleState::save(cl), stats});
+  return stats;
 }
 
 const TimingOutcome* TimingCache::find(const TimingKey& key) {

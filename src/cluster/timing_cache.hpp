@@ -6,14 +6,14 @@
 /// hold (the timing contract, tests/cluster/test_timing_contract.cpp). So a
 /// GEMM program's effect on the non-memory state of the cluster -- cycles,
 /// arbitration pointers, transfer ids, register file, every counter -- is a
-/// pure function of the program and that state on entry. Two programs go
-/// through this one seam: a tiled GEMM (TiledGemmRunner::run_staged) and a
-/// monolithic offload of one core::Job (RedmuleDriver::run_job, which
-/// gemm(), gemm_acc() and run_gemm() all reach). Each records its outcome
-/// here the first time it runs the cycle model for a key (a miss) and
-/// replays it afterwards (a hit): Z comes from the FP16 golden model over
-/// the operands, the memories are rewritten to the bytes the DMA and the
-/// engine would have left, and the four modules restore the recorded
+/// pure function of the program and that state on entry.
+///
+/// Every GEMM program goes through one seam, run_gemm_program(), which owns
+/// the whole replay protocol: a tiled GEMM (TiledGemmRunner::run_staged)
+/// and a monolithic core::Job offload (RedmuleDriver::run_job) each make
+/// one call. The first run of a key runs the cycle model and records its
+/// outcome (a miss); later runs replay it (a hit) with one body for both:
+/// Z from the FP16 golden model, the caller's own writes, the recorded
 /// post-state. Results, cycles, counters, L2, TCDM and the state::snapshot
 /// fingerprint equal the model's.
 ///
@@ -27,30 +27,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 
 #include "cluster/cluster.hpp"
 #include "cluster/tiled_gemm_runner.hpp"
 
 namespace redmule::cluster {
-
-/// The non-memory state a GEMM program reads and writes: the kernel
-/// counters, the interconnect, the DMA and the accelerator. Cores stay
-/// halted through a GEMM (the cache is bypassed otherwise), and the memories
-/// are replayed from the operands, so these four are the whole timing state.
-struct ModuleState {
-  sim::Simulator::State sim;
-  mem::Hci::State hci;
-  mem::DmaEngine::State dma;
-  core::RedmuleEngine::State engine;
-
-  /// Requires a quiescent cluster (every save_state() does).
-  static ModuleState save(const Cluster& cl);
-  void restore(Cluster& cl) const;
-
-  friend bool operator==(const ModuleState&, const ModuleState&) = default;
-};
 
 /// A tiled GEMM program: one TiledGemmRunner::run_staged() call.
 struct TiledProgram {
@@ -62,14 +48,16 @@ struct TiledProgram {
   friend bool operator==(const TiledProgram&, const TiledProgram&) = default;
 };
 
-/// Everything the outcome of one GEMM program depends on. The program is a
-/// tiled one or a single offloaded core::Job (its operand pointers, m/n/k
-/// and accumulate); the variant's index keeps a tiled key from ever
-/// comparing equal to a monolithic one.
+/// One GEMM program: a tiled one or a single offloaded core::Job (its
+/// operand pointers, m/n/k and accumulate).
+using GemmProgram = std::variant<TiledProgram, core::Job>;
+
+/// Everything the outcome of one GEMM program depends on. The variant's
+/// index keeps a tiled key from ever comparing equal to a monolithic one.
 struct TimingKey {
   ClusterConfig config;
   ModuleState pre;
-  std::variant<TiledProgram, core::Job> program;
+  GemmProgram program;
 
   uint64_t hash() const;
   friend bool operator==(const TimingKey&, const TimingKey&) = default;
@@ -83,28 +71,52 @@ struct TimingOutcome {
   TiledGemmStats stats;
 };
 
-/// The bytes one GEMM operand occupies.
-struct OperandBytes {
-  uint32_t addr = 0;
-  uint64_t len = 0;
+/// A non-owning reference to a callable: unlike std::function it never
+/// allocates. Valid while the callable it was made from lives.
+template <class Sig>
+class CallableRef;
+template <class R, class... Args>
+class CallableRef<R(Args...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, CallableRef>)
+  CallableRef(F&& f)  // implicit, like std::string_view
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(std::forward<Args>(args)...);
+        }) {}
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
 };
 
-/// The cache a GEMM program on \p cl may go through, or nullptr when it must
-/// run the cycle model. Both programs share these bypass rules: no cache
-/// attached; armed faults (they act on the model's cycles); a schedule
-/// observer (it wants the schedule); idle skipping off (the cores tick, and
-/// their state is not recorded); a non-quiescent cluster or a pending
-/// offload (\p job_pending); and a Z that overlaps X or W, or overlaps Y
-/// (\p y, nullptr without one) without being Y itself. The replay reads every
-/// operand before it writes Z, which is what the model reads only when no
-/// Z store can land on an operand it reads later.
-TimingCache* replay_cache(const Cluster& cl, bool job_pending, OperandBytes x,
-                          OperandBytes w, OperandBytes z, const OperandBytes* y);
+/// What a replay read and wrote: the operands in the program's padded
+/// shapes and the Z it wrote over them.
+struct ReplayedGemm {
+  MatrixF16 x, w, z;
+};
 
-/// True when the recorded \p rec (nullptr: none) may stand in for the model
-/// on \p cl. An armed cycle budget that ends inside the recorded run must
-/// abort on the model's cycle with the model's error, so the model runs it.
-bool may_replay(const Cluster& cl, const TimingOutcome* rec);
+/// Runs \p program on \p cl through the cluster's timing cache and returns
+/// \p model's stats or the recorded ones (empty for a monolithic job, whose
+/// stats are the engine's last_job_stats()). \p model runs the cycle model;
+/// \p replay_writes leaves in memory what the model would beyond Z (a tiled
+/// program's tile buffers). \p job_pending: a start_job() is in flight.
+///
+/// The model runs, recording nothing, with no cache attached, armed faults
+/// (they act on the model's cycles), a schedule observer (it wants the
+/// schedule), idle skipping off (the cores tick, and their state is not
+/// recorded), a non-quiescent cluster or a pending job, or a Z overlapping
+/// X or W, or Y without being Y itself (a replay reads every operand before
+/// it writes Z, as the model does only when no Z store lands on an operand
+/// it reads later). It also runs when an armed cycle budget ends inside the
+/// recorded run, so the abort lands on the model's cycle with its error. A
+/// replay polls the run control before it touches the cluster and after it
+/// restores the post-state; one cancelled at entry counts no hit.
+TiledGemmStats run_gemm_program(Cluster& cl, bool job_pending, const GemmProgram& program,
+                                CallableRef<TiledGemmStats()> model,
+                                CallableRef<void(const ReplayedGemm&)> replay_writes);
 
 class TimingCache {
  public:
@@ -120,19 +132,8 @@ class TimingCache {
   TimingCache& operator=(const TimingCache&) = delete;
 
   /// The recorded outcome for \p key, made most recently used; nullptr when
-  /// none is recorded. Counts nothing: the caller decides whether it replays.
+  /// none is recorded. Counts nothing: run_gemm_program() counts the hits.
   const TimingOutcome* find(const TimingKey& key);
-  /// Counts one replayed GEMM program that reported \p cycles (a tiled
-  /// program's total_cycles, a monolithic job's JobStats::cycles).
-  void count_hit(uint64_t cycles) {
-    ++counters_.hits;
-    counters_.replayed_cycles += cycles;
-  }
-  /// Records the model's outcome for \p key (see insert()) when \p cl is
-  /// quiescent after the run; a cluster still draining is not capturable.
-  void record(TimingKey key, const Cluster& cl, const TiledGemmStats& stats) {
-    if (cl.sim().quiescent()) insert(std::move(key), TimingOutcome{ModuleState::save(cl), stats});
-  }
   /// Records the cycle model's outcome for \p key (one miss), evicting least
   /// recently used entries until the budget holds. An entry larger than the
   /// whole budget is counted as a miss and dropped.
@@ -143,7 +144,9 @@ class TimingCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t bytes = 0;  ///< current footprint of the recorded entries
-    uint64_t replayed_cycles = 0;  ///< cycles the hits reported (count_hit)
+    /// Cycles the hits reported: a tiled program's total_cycles, a
+    /// monolithic job's JobStats::cycles.
+    uint64_t replayed_cycles = 0;
   };
   const Counters& counters() const { return counters_; }
   size_t entries() const { return lru_.size(); }
@@ -155,6 +158,10 @@ class TimingCache {
   size_t budget_bytes() const { return budget_bytes_; }
 
  private:
+  friend TiledGemmStats run_gemm_program(Cluster&, bool, const GemmProgram&,
+                                         CallableRef<TiledGemmStats()>,
+                                         CallableRef<void(const ReplayedGemm&)>);
+
   struct Entry {
     TimingKey key;
     TimingOutcome outcome;

@@ -13,14 +13,16 @@ bool all_zero(const uint8_t* p, uint32_t len) {
   return true;
 }
 
-}  // namespace
-
-uint64_t L2Memory::State::resident_bytes() const {
+uint64_t resident_bytes_of(const std::vector<std::shared_ptr<L2Memory::Page>>& pages) {
   uint64_t n = 0;
   for (const auto& p : pages)
-    if (p) n += kPageBytes;
+    if (p) n += L2Memory::kPageBytes;
   return n;
 }
+
+}  // namespace
+
+uint64_t L2Memory::State::resident_bytes() const { return resident_bytes_of(pages); }
 
 L2Memory::L2Memory(L2Config cfg) : cfg_(cfg) {
   REDMULE_REQUIRE(cfg.size_bytes > 0, "L2 cannot be empty");
@@ -116,11 +118,6 @@ void L2Memory::restore_state(const State& s) {
   pages_ = s.pages;
 }
 
-uint64_t L2Memory::resident_bytes() const {
-  uint64_t n = 0;
-  for (const auto& p : pages_)
-    if (p) n += kPageBytes;
-  return n;
-}
+uint64_t L2Memory::resident_bytes() const { return resident_bytes_of(pages_); }
 
 }  // namespace redmule::mem

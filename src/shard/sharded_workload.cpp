@@ -22,8 +22,10 @@ api::WorkloadResult ShardedNetworkWorkload::run(cluster::Cluster& cluster,
   // The inputs and the hash are the network kind's own definitions; every
   // slice and the reduction run on the given cluster.
   api::NetworkInputs in = api::draw_network_inputs(spec_.base);
-  ShardedTrainingResult r = run_sharded_step(
-      cluster, in.net, in.x, in.x, spec_.base.lr, spec_.shards, ctx);
+  // lr 0: the hash reads out and dW, both taken before the SGD update, and
+  // the updated graph is dropped, so the update would be dead work.
+  ShardedTrainingResult r =
+      run_sharded_step(cluster, in.net, in.x, in.x, 0.0, spec_.shards, ctx);
 
   api::WorkloadResult res;
   res.stats.cycles = r.stats.makespan_cycles;

@@ -36,12 +36,9 @@ ClusterImage snapshot(const cluster::Cluster& cl) {
         "not idle); snapshots are only legal at quiescence");
   ClusterImage img;
   img.config = cl.config();
-  img.sim = cl.sim().save_state();
   img.tcdm = cl.tcdm().save_state();
   img.l2 = cl.l2().save_state();
-  img.hci = cl.hci().save_state();
-  img.dma = cl.dma().save_state();
-  img.engine = cl.redmule().save_state();
+  img.modules = cluster::ModuleState::save(cl);
   img.cores.reserve(cl.n_cores());
   for (unsigned i = 0; i < cl.n_cores(); ++i)
     img.cores.push_back(cl.core(i).save_state());
@@ -57,19 +54,15 @@ void restore(cluster::Cluster& cl, const ClusterImage& img) {
         "cluster configuration");
   // Reset first: restore must work from any state, including a cluster whose
   // last job was aborted mid-flight. The per-module restore_state() calls
-  // then install the persistent state over the constructed baseline, in the
-  // same order Cluster::reset() walks the hierarchy.
+  // then install the persistent state over the constructed baseline.
   cl.reset();
   cl.tcdm().restore_state(img.tcdm);
   cl.l2().restore_state(img.l2);
-  cl.hci().restore_state(img.hci);
-  cl.dma().restore_state(img.dma);
-  cl.redmule().restore_state(img.engine);
+  img.modules.restore(cl);
   REDMULE_REQUIRE(img.cores.size() == cl.n_cores(),
                   "cluster restore: core count mismatch");
   for (unsigned i = 0; i < cl.n_cores(); ++i)
     cl.core(i).restore_state(img.cores[i]);
-  cl.sim().restore_state(img.sim);
 }
 
 uint64_t image_fingerprint(const ClusterImage& img) {
@@ -84,14 +77,15 @@ uint64_t image_fingerprint(const ClusterImage& img) {
     h = fnv_u64(h, i);
     h = fnv_bytes(h, page->data(), page->size());
   }
-  h = fnv_u64(h, img.sim.cycle);
-  h = fnv_u64(h, img.dma.next_id);
-  h = fnv_u64(h, img.dma.bytes_in);
-  h = fnv_u64(h, img.dma.bytes_out);
-  h = fnv_u64(h, img.hci.log_grants);
-  h = fnv_u64(h, img.hci.shallow_grants);
-  h = fnv_u64(h, img.engine.regfile.read(core::kRegFinished));
-  h = fnv_u64(h, img.engine.last_stats.cycles);
+  const cluster::ModuleState& m = img.modules;
+  h = fnv_u64(h, m.sim.cycle);
+  h = fnv_u64(h, m.dma.next_id);
+  h = fnv_u64(h, m.dma.bytes_in);
+  h = fnv_u64(h, m.dma.bytes_out);
+  h = fnv_u64(h, m.hci.log_grants);
+  h = fnv_u64(h, m.hci.shallow_grants);
+  h = fnv_u64(h, m.engine.regfile.read(core::kRegFinished));
+  h = fnv_u64(h, m.engine.last_stats.cycles);
   for (const auto& core : img.cores) {
     h = fnv_u64(h, core.stats.cycles);
     h = fnv_u64(h, core.stats.retired);

@@ -3,10 +3,13 @@
 ///        fork-from-template serving (ROADMAP item 3).
 ///
 /// A state::ClusterImage captures everything a quiescent cluster will ever
-/// let a future job observe: both memories, the interconnect's round-robin
-/// pointers and statistics, the DMA id/completion tracking, every core's
-/// architectural state, the accelerator register file and job statistics,
-/// and the kernel counters. Restoring an image onto a same-config cluster
+/// let a future job observe: both memories, every core's architectural
+/// state, and the cluster::ModuleState of the timed modules (the kernel
+/// counters, the interconnect's round-robin pointers and statistics, the
+/// DMA id/completion tracking, the accelerator register file and job
+/// statistics). ModuleState is also the whole timing state the timing
+/// cache keys on and restores (cluster/timing_cache.hpp), so one list of
+/// modules serves both. Restoring an image onto a same-config cluster
 /// makes it behaviorally bit-identical to the cluster the image was taken
 /// from -- every subsequent job produces the same outputs, the same cycle
 /// counts, the same statistics (restore-equals-snapshot, enforced alongside
@@ -44,12 +47,9 @@ namespace redmule::state {
 /// atomic) and restored any number of times.
 struct ClusterImage {
   cluster::ClusterConfig config{};
-  sim::Simulator::State sim{};
   mem::Tcdm::State tcdm{};
   mem::L2Memory::State l2{};
-  mem::Hci::State hci{};
-  mem::DmaEngine::State dma{};
-  core::RedmuleEngine::State engine{};
+  cluster::ModuleState modules{};  ///< kernel counters, HCI, DMA, RedMulE
   std::vector<isa::RiscvCore::State> cores;
   /// FNV-1a over the image's logical memory contents and counters, filled
   /// by snapshot(). Two images of behaviorally identical clusters hash

@@ -17,10 +17,13 @@
 //  - BYPASS: a cycle limit inside a recorded GEMM aborts on the model's
 //    cycle with the model's error; a fault plan and idle skipping off run
 //    the model and record nothing.
+//  - CANCEL: a replay run with its cancel flag raised aborts as kCancelled
+//    and counts no hit; the cluster's next job still equals the model.
 //  - BUDGET: a storm of distinct shapes stays within the byte budget,
 //    evicts least recently used entries, and still matches the model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -348,6 +351,46 @@ TEST(TimingCacheBypass, IdleSkippingOffRunsTheModelAndRecordsNothing) {
   cl.sim().set_idle_skipping(true);
   EXPECT_EQ(outcome_of(w->run(*pool.acquire(cfg).cl, ctx)), oracle);
   EXPECT_EQ(pool.timing_cache().counters().hits, 1u);
+}
+
+// --- Cancel -----------------------------------------------------------------------
+
+TEST(TimingCacheCancel, AReplayHonoursARaisedCancelFlag) {
+  // A replay polls the run control before it touches the cluster: a job
+  // whose first GEMM program is recorded, run with its cancel flag already
+  // raised, aborts as kCancelled and counts no hit. Only the replayed path
+  // is asserted; the model of a tiny GEMM can finish before its first
+  // checkpoint.
+  api::ClusterPool pool;
+  for (const char* spec : {kGemm, kTiled, kNetwork}) {
+    auto w = WorkloadRegistry::global().create(spec);
+    const cluster::ClusterConfig cfg =
+        api::resolve_cluster_config(small_base(), w->requirements());
+    api::RunContext plain;
+    cluster::Cluster& cl = *pool.acquire(cfg).cl;
+    ASSERT_TRUE(w->run(cl, plain).ok()) << spec;  // records every GEMM
+
+    const std::atomic<bool> cancel{true};
+    api::RunContext cancelled;
+    cancelled.cancel = &cancel;
+    const cluster::TimingCache::Counters before = pool.timing_cache().counters();
+    ASSERT_EQ(pool.acquire(cfg).cl, &cl);
+    try {
+      (void)w->run(cl, cancelled);
+      ADD_FAILURE() << spec << ": the cancelled job completed";
+    } catch (const sim::RunAborted& e) {
+      EXPECT_EQ(e.reason(), sim::AbortReason::kCancelled) << spec;
+    }
+    EXPECT_EQ(pool.timing_cache().counters().hits, before.hits) << spec;
+    EXPECT_EQ(pool.timing_cache().counters().replayed_cycles, before.replayed_cycles) << spec;
+
+    // The next uncancelled job on that cluster replays, and equals the model.
+    ASSERT_EQ(pool.acquire(cfg).cl, &cl);
+    const WorkloadResult next = w->run(cl, plain);
+    ASSERT_TRUE(next.ok()) << spec << ": " << next.error.to_string();
+    EXPECT_EQ(outcome_of(next), outcome_of(run_one(spec))) << spec;
+    EXPECT_GT(pool.timing_cache().counters().hits, before.hits) << spec;
+  }
 }
 
 // --- Byte budget ----------------------------------------------------------------

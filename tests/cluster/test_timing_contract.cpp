@@ -236,6 +236,32 @@ TEST(TimingContract, ScheduleObserverBypassesTheCache) {
   EXPECT_EQ(observed.stats, offload(fresh, c, false).stats);
 }
 
+TEST(TimingContract, ClusterStillDrainingAfterTheModelIsNotRecorded) {
+  // A model run that leaves the cluster mid-flight, here with a DMA
+  // transfer still streaming, cannot be captured: the seam records nothing.
+  TimingCache cache;
+  Cluster cl;
+  cl.set_timing_cache(&cache);
+  RedmuleDriver drv(cl);
+  core::Job job;
+  job.x_ptr = drv.place_matrix(operand(4, 8, 1, false));
+  job.w_ptr = drv.place_matrix(operand(8, 6, 2, false));
+  job.z_ptr = drv.alloc(4 * 6 * 2);
+  job.m = 4;
+  job.n = 8;
+  job.k = 6;
+  const auto model = [&] {
+    drv.start_job(job);
+    (void)drv.wait_job();
+    (void)cl.dma().submit({cl.l2().config().base_addr, job.x_ptr, 64});
+    return TiledGemmStats{};
+  };
+  (void)run_gemm_program(cl, false, job, model, [](const ReplayedGemm&) {});
+  EXPECT_FALSE(cl.sim().quiescent());
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.counters().misses, 0u);
+}
+
 TEST(TimingKey, TiledAndMonolithicKeysNeverCompareEqual) {
   // The same config and pre-state, and a job whose fields mirror the tiled
   // program's addresses and extents: only the program kind differs.
