@@ -14,7 +14,7 @@
 /// GATES (exit nonzero on violation):
 ///  - every point's forked cluster reproduces the freshly-staged cluster's
 ///    training step bit for bit (out, every dW, mse), and re-snapshotting
-///    the restored cluster reproduces the image fingerprint;
+///    the restored cluster gives an image == the restored one;
 ///  - warm fork beats full restaging on wall-clock at every point
 ///    (`warm_wins`), with the speedup reported per point.
 ///
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     }
     cluster::Cluster forked(ccfg);
     state::restore(forked, img);
-    bool exact = state::snapshot(forked).fingerprint == img.fingerprint;
+    bool exact = state::snapshot(forked) == img;
     {
       cluster::RedmuleDriver drv(forked);
       cluster::NetworkRunner runner(forked, drv);

@@ -2,18 +2,38 @@
 
 namespace redmule::api {
 
+namespace {
+
+uint64_t bucket(const cluster::ClusterConfig& cfg, const std::string& key) {
+  return pool_key(cfg) ^ std::hash<std::string>{}(key);
+}
+
+}  // namespace
+
+std::shared_ptr<const state::ClusterImage> TemplateCache::find_locked(
+    const cluster::ClusterConfig& cfg, const std::string& key) const {
+  const auto [first, last] = images_.equal_range(bucket(cfg, key));
+  for (auto it = first; it != last; ++it) {
+    const auto& [k, img] = it->second;
+    if (k == key && img->config == cfg) return img;
+  }
+  return nullptr;
+}
+
 std::shared_ptr<const state::ClusterImage> TemplateCache::find(
-    const std::string& key) const {
+    const cluster::ClusterConfig& cfg, const std::string& key) const {
   std::lock_guard<std::mutex> l(m_);
-  const auto it = images_.find(key);
-  return it != images_.end() ? it->second : nullptr;
+  return find_locked(cfg, key);
 }
 
 std::shared_ptr<const state::ClusterImage> TemplateCache::insert(
     const std::string& key, std::shared_ptr<const state::ClusterImage> img) {
   std::lock_guard<std::mutex> l(m_);
-  const auto [it, inserted] = images_.emplace(key, std::move(img));
-  return it->second;  // first writer wins; losers fork the canonical image
+  // First writer wins; losers fork the canonical image.
+  if (std::shared_ptr<const state::ClusterImage> first = find_locked(img->config, key))
+    return first;
+  const uint64_t h = bucket(img->config, key);
+  return images_.emplace(h, std::pair(key, std::move(img)))->second.second;
 }
 
 size_t TemplateCache::size() const {
@@ -39,12 +59,7 @@ ClusterPool::Acquired ClusterPool::acquire_template(
     const cluster::ClusterConfig& cfg, const std::string& key,
     const StageFn& stage) {
   Acquired acq = acquire(cfg);
-  // Fold the whole resolved config into the cache key: equal caller keys on
-  // configs that differ anywhere stage different bits (layouts and timing
-  // depend on the config) and must never share an image.
-  const std::string full_key = key + "#cfg" + std::to_string(pool_key(cfg));
-  if (std::shared_ptr<const state::ClusterImage> img =
-          templates_->find(full_key)) {
+  if (std::shared_ptr<const state::ClusterImage> img = templates_->find(cfg, key)) {
     state::restore(*acq.cl, *img);
     ++template_forks_;
     acq.forked = true;
@@ -52,16 +67,15 @@ ClusterPool::Acquired ClusterPool::acquire_template(
   }
   ++template_misses_;
   stage(*acq.cl);
-  std::shared_ptr<const state::ClusterImage> img =
-      templates_->insert(full_key, std::make_shared<const state::ClusterImage>(
-                                       state::snapshot(*acq.cl)));
-  // Every provisioning runs through restore() -- including the staging one,
-  // which restores the canonical image it may have lost the publish race to.
-  // That uniformity is also the enforced restore-equals-snapshot invariant:
-  // re-snapshotting the restored cluster must reproduce the published
-  // fingerprint (and, across a lost race, proves staging was deterministic).
+  auto staged = std::make_shared<const state::ClusterImage>(state::snapshot(*acq.cl));
+  const std::shared_ptr<const state::ClusterImage> img = templates_->insert(key, staged);
+  // Another writer may have published first; staging is deterministic.
+  REDMULE_REQUIRE(img == staged || *img == *staged,
+                  "template staging did not reproduce the published image");
+  // Every provisioning runs through restore() -- including the staging one.
+  // That uniformity is also the enforced restore-equals-snapshot invariant.
   state::restore(*acq.cl, *img);
-  REDMULE_REQUIRE(state::snapshot(*acq.cl).fingerprint == img->fingerprint,
+  REDMULE_REQUIRE(state::snapshot(*acq.cl) == *img,
                   "template restore did not reproduce its snapshot");
   return acq;
 }

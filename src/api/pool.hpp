@@ -17,7 +17,7 @@
 ///    with the same key restores ("forks") the image instead of re-staging.
 ///    Restore shares the image's L2 pages copy-on-write, so a fork is a page
 ///    table copy, not a memory copy -- and because restore-equals-snapshot
-///    (enforced with a fingerprint check on every publish) the forked cluster
+///    (enforced with an image == check on every publish) the forked cluster
 ///    is bit-identical to a freshly-constructed-and-staged one. The cache is
 ///    the one deliberately shared piece: images are immutable once published
 ///    (shared_ptr<const>, atomic refcounts), so worker threads fork from one
@@ -38,10 +38,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "api/workload.hpp"
@@ -52,25 +52,32 @@
 namespace redmule::api {
 
 /// Thread-safe, first-writer-wins store of published template images, keyed
-/// by the caller's template key (staged-content identity) combined with the
-/// resolved cluster config. Images are immutable once inserted; lookups hand
-/// out shared_ptr<const> references that stay valid for the caller's
-/// lifetime regardless of later insertions. One cache is shared by all of a
-/// Service's thread-private pools -- the cache mutex covers only the map,
-/// never any cluster.
+/// by (resolved cluster config, caller's template key); a hash of both only
+/// picks the bucket. Images are immutable once inserted; lookups hand out
+/// shared_ptr<const> references that stay valid for the caller's lifetime
+/// regardless of later insertions. One cache is shared by all of a Service's
+/// thread-private pools -- the cache mutex covers only the map, never any
+/// cluster.
 class TemplateCache {
  public:
-  std::shared_ptr<const state::ClusterImage> find(const std::string& key) const;
-  /// Publishes \p img under \p key unless another writer got there first;
-  /// returns the canonical image either way (first-writer-wins, so every
-  /// fork of a key descends from one image).
+  std::shared_ptr<const state::ClusterImage> find(const cluster::ClusterConfig& cfg,
+                                                  const std::string& key) const;
+  /// Publishes \p img under (its config, \p key) unless another writer got
+  /// there first; returns the canonical image either way (first-writer-wins,
+  /// so every fork of a key descends from one image).
   std::shared_ptr<const state::ClusterImage> insert(
       const std::string& key, std::shared_ptr<const state::ClusterImage> img);
   size_t size() const;
 
  private:
+  /// Requires m_ held.
+  std::shared_ptr<const state::ClusterImage> find_locked(const cluster::ClusterConfig& cfg,
+                                                         const std::string& key) const;
+
   mutable std::mutex m_;
-  std::map<std::string, std::shared_ptr<const state::ClusterImage>> images_;
+  /// Bucket hash -> (caller key, image); the image holds its config.
+  using Entry = std::pair<std::string, std::shared_ptr<const state::ClusterImage>>;
+  std::unordered_multimap<uint64_t, Entry> images_;
 };
 
 /// Worker-private pool of reusable cluster instances (single-threaded access
@@ -104,12 +111,13 @@ class ClusterPool {
   using StageFn = std::function<void(cluster::Cluster&)>;
 
   /// acquire() plus snapshot/fork provisioning. \p key must identify every
-  /// bit \p stage writes (the resolved config is folded in here, so equal
-  /// keys on different configs never collide). On the first call for a key
-  /// the cluster is staged by \p stage, snapshotted, and the image published
-  /// to the template cache; the publish round-trips the image through
-  /// restore() and asserts the re-snapshot fingerprint matches
-  /// (restore-equals-snapshot, enforced). Later calls fork: the cached image
+  /// bit \p stage writes on \p cfg (the cache keys on the config too). On
+  /// the first call for a key the cluster is staged by \p stage,
+  /// snapshotted, and the image published to the template cache; the
+  /// publish round-trips the image through restore() and asserts the
+  /// re-snapshot == the image (restore-equals-snapshot, enforced), and a
+  /// lost publish race asserts the staged image == the canonical one. Later
+  /// calls fork: the cached image
   /// is restored onto the acquired cluster -- a COW page-table copy -- and
   /// no staging runs. Either way the returned cluster is quiescent, holds
   /// exactly the staged template state, and is bit-identical to a

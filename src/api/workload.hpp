@@ -94,11 +94,8 @@ struct ClusterRequirements {
 cluster::ClusterConfig resolve_cluster_config(const cluster::ClusterConfig& base,
                                               const ClusterRequirements& reqs);
 
-/// FNV-1a over every ClusterConfig field, one 64-bit word each. Each step is
-/// a bijection of the running hash, so configs that differ in one field
-/// never collide. Template images are keyed by it; pools still compare
-/// whole configs, and restore() refuses any image whose config differs, so
-/// a collision can fail a fork but never mis-serve one.
+/// FNV-1a over every ClusterConfig field, one 64-bit word each. A bucket
+/// hash only (api::TemplateCache): a match is confirmed on the whole config.
 uint64_t pool_key(const cluster::ClusterConfig& cfg);
 
 /// Execution budget for one job. Both limits are optional (0 = unlimited).

@@ -14,8 +14,8 @@
 /// one call. The first run of a key runs the cycle model and records its
 /// outcome (a miss); later runs replay it (a hit) with one body for both:
 /// Z from the FP16 golden model, the caller's own writes, the recorded
-/// post-state. Results, cycles, counters, L2, TCDM and the state::snapshot
-/// fingerprint equal the model's.
+/// post-state. Results, cycles, counters, L2, TCDM and the whole
+/// state::snapshot image equal the model's.
 ///
 /// The key compares the resolved cluster config, the exact pre-state and the
 /// program field by field; the hash only picks the bucket. Entries are

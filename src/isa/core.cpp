@@ -1,5 +1,7 @@
 #include "isa/core.hpp"
 
+#include <algorithm>
+
 #include "common/bits.hpp"
 
 namespace redmule::isa {
@@ -119,6 +121,14 @@ void RiscvCore::restore_state(const State& s) {
   halted_ = s.halted;
   now_ = s.now;
   stats_ = s.stats;
+}
+
+bool operator==(const RiscvCore::State& a, const RiscvCore::State& b) {
+  const auto bits = [](fp16::Float16 v) { return v.bits(); };
+  return a.prog == b.prog && a.pc == b.pc && a.x == b.x &&
+         std::ranges::equal(a.f, b.f, {}, bits, bits) && a.ready == b.ready &&
+         a.loops == b.loops && a.stall_cycles_left == b.stall_cycles_left &&
+         a.halted == b.halted && a.now == b.now && a.stats == b.stats;
 }
 
 void RiscvCore::set_reg(uint8_t reg, uint32_t value) {

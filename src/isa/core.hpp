@@ -46,6 +46,7 @@ struct CoreStats {
   uint64_t raw_stalls = 0;    ///< cycles lost to operand hazards
   uint64_t branch_stalls = 0;
   uint64_t fp_ops = 0;
+  friend bool operator==(const CoreStats&, const CoreStats&) = default;
 };
 
 class RiscvCore : public sim::Clocked {
@@ -115,6 +116,7 @@ class RiscvCore : public sim::Clocked {
     uint32_t start = 0;
     uint32_t end = 0;   ///< exclusive
     uint32_t count = 0;
+    friend bool operator==(const HwLoop&, const HwLoop&) = default;
   };
   std::array<HwLoop, 2> loops_;  ///< Xpulp supports 2 nesting levels
 
@@ -144,6 +146,9 @@ class RiscvCore : public sim::Clocked {
     bool halted = true;
     uint64_t now = 0;
     CoreStats stats;
+    /// Field by field, FP registers by encoding: Float16's own == is IEEE
+    /// eq, under which +0 equals -0 and a NaN equals nothing.
+    friend bool operator==(const State& a, const State& b);
   };
   /// Requires halted(): a running core is mid-pipeline and not capturable.
   State save_state() const;

@@ -49,6 +49,7 @@ struct Instr {
   uint8_t rs3 = 0;      ///< FMA third operand
   int32_t imm = 0;      ///< immediate / byte offset / branch target (instr index)
   std::string text;     ///< original assembly line, for debugging
+  friend bool operator==(const Instr&, const Instr&) = default;
 };
 
 /// A loaded kernel: instructions plus the label table (for diagnostics).
@@ -58,6 +59,7 @@ struct Program {
 
   bool empty() const { return instrs.empty(); }
   size_t size() const { return instrs.size(); }
+  friend bool operator==(const Program&, const Program&) = default;
 };
 
 }  // namespace redmule::isa

@@ -48,7 +48,6 @@ Client::Outcome Client::wait(uint64_t tag) {
     if (it != done_.end()) {
       Outcome out = std::move(it->second);
       done_.erase(it);
-      job_ids_.erase(tag);
       return out;
     }
     Frame f = read_frame();
@@ -142,9 +141,8 @@ bool Client::dispatch(Frame& f) {
       return true;
     }
     case MsgType::kProgress: {
-      const ProgressMsg m = decode_progress(f);
+      (void)decode_progress(f);  // validates the payload
       ++progress_seen_;
-      job_ids_[m.tag] = m.job_id;
       return true;
     }
     case MsgType::kPing: {

@@ -80,12 +80,6 @@ class Client {
 
   /// PROGRESS frames observed so far (advisory; the server may shed them).
   uint64_t progress_seen() const { return progress_seen_; }
-  /// The service job id a tag's PROGRESS advertised (0 before it arrives,
-  /// or forever if shed -- advisory only).
-  uint64_t job_id_of(uint64_t tag) const {
-    const auto it = job_ids_.find(tag);
-    return it == job_ids_.end() ? 0 : it->second;
-  }
 
  private:
   /// Blocks for one validated frame. Throws redmule::Error on EOF,
@@ -100,7 +94,6 @@ class Client {
   HelloAckMsg hello_;
   uint64_t next_tag_ = 1;
   std::map<uint64_t, Outcome> done_;       ///< parked terminal outcomes
-  std::map<uint64_t, uint64_t> job_ids_;   ///< tag -> job id (from PROGRESS)
   uint64_t progress_seen_ = 0;
   uint64_t last_pong_nonce_ = 0;
   bool pong_pending_ = false;

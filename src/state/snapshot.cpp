@@ -6,23 +6,19 @@ namespace redmule::state {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t fnv_bytes(uint64_t h, const void* data, size_t len) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
+/// L2 by logical content: a page both images share is equal without a look,
+/// and an absent page reads as zeros.
+bool same_l2(const mem::L2Memory::State& a, const mem::L2Memory::State& b) {
+  static const mem::L2Memory::Page kZeroPage{};
+  if (a.pages.size() != b.pages.size()) return false;
+  for (size_t i = 0; i < a.pages.size(); ++i) {
+    const mem::L2Memory::Page* pa = a.pages[i].get();
+    const mem::L2Memory::Page* pb = b.pages[i].get();
+    if (pa == pb) continue;
+    if (std::memcmp(pa != nullptr ? pa : &kZeroPage, pb != nullptr ? pb : &kZeroPage,
+                    mem::L2Memory::kPageBytes) != 0)
+      return false;
   }
-  return h;
-}
-
-uint64_t fnv_u64(uint64_t h, uint64_t v) { return fnv_bytes(h, &v, sizeof(v)); }
-
-bool page_all_zero(const mem::L2Memory::Page& page) {
-  for (uint8_t b : page)
-    if (b != 0) return false;
   return true;
 }
 
@@ -42,7 +38,6 @@ ClusterImage snapshot(const cluster::Cluster& cl) {
   img.cores.reserve(cl.n_cores());
   for (unsigned i = 0; i < cl.n_cores(); ++i)
     img.cores.push_back(cl.core(i).save_state());
-  img.fingerprint = image_fingerprint(img);
   return img;
 }
 
@@ -65,32 +60,9 @@ void restore(cluster::Cluster& cl, const ClusterImage& img) {
     cl.core(i).restore_state(img.cores[i]);
 }
 
-uint64_t image_fingerprint(const ClusterImage& img) {
-  uint64_t h = kFnvOffset;
-  h = fnv_bytes(h, img.tcdm.words.data(),
-                img.tcdm.words.size() * sizeof(uint32_t));
-  // L2 hashes by *logical* content: a resident all-zero page reads the same
-  // as an absent one, so it must hash the same too.
-  for (size_t i = 0; i < img.l2.pages.size(); ++i) {
-    const auto& page = img.l2.pages[i];
-    if (!page || page_all_zero(*page)) continue;
-    h = fnv_u64(h, i);
-    h = fnv_bytes(h, page->data(), page->size());
-  }
-  const cluster::ModuleState& m = img.modules;
-  h = fnv_u64(h, m.sim.cycle);
-  h = fnv_u64(h, m.dma.next_id);
-  h = fnv_u64(h, m.dma.bytes_in);
-  h = fnv_u64(h, m.dma.bytes_out);
-  h = fnv_u64(h, m.hci.log_grants);
-  h = fnv_u64(h, m.hci.shallow_grants);
-  h = fnv_u64(h, m.engine.regfile.read(core::kRegFinished));
-  h = fnv_u64(h, m.engine.last_stats.cycles);
-  for (const auto& core : img.cores) {
-    h = fnv_u64(h, core.stats.cycles);
-    h = fnv_u64(h, core.stats.retired);
-  }
-  return h;
+bool operator==(const ClusterImage& a, const ClusterImage& b) {
+  return a.config == b.config && a.tcdm.words == b.tcdm.words && same_l2(a.l2, b.l2) &&
+         a.modules == b.modules && a.cores == b.cores;
 }
 
 }  // namespace redmule::state

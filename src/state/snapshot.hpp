@@ -12,9 +12,9 @@
 /// modules serves both. Restoring an image onto a same-config cluster
 /// makes it behaviorally bit-identical to the cluster the image was taken
 /// from -- every subsequent job produces the same outputs, the same cycle
-/// counts, the same statistics (restore-equals-snapshot, enforced alongside
-/// reset-equals-constructed in tests/cluster/test_cluster_reset.cpp and
-/// tests/state/test_snapshot.cpp).
+/// counts, the same statistics (restore-equals-snapshot: the re-snapshot ==
+/// the image; enforced alongside reset-equals-constructed in
+/// tests/cluster/test_cluster_reset.cpp and tests/state/test_snapshot.cpp).
 ///
 /// Images are cheap to hold and cheap to fork: the dominant payload, L2, is
 /// shared page-by-page with the live memory via the copy-on-write page table
@@ -32,7 +32,6 @@
 /// the persistent remainder completely.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -51,11 +50,12 @@ struct ClusterImage {
   mem::L2Memory::State l2{};
   cluster::ModuleState modules{};  ///< kernel counters, HCI, DMA, RedMulE
   std::vector<isa::RiscvCore::State> cores;
-  /// FNV-1a over the image's logical memory contents and counters, filled
-  /// by snapshot(). Two images of behaviorally identical clusters hash
-  /// equal; used by tests and as the template-identity check in the pool.
-  uint64_t fingerprint = 0;
 };
+
+/// Equality of logical content: the config, the TCDM words, the L2 pages
+/// (an absent page equals an all-zero one), every cluster::ModuleState field
+/// and each core's state, FP registers by encoding.
+bool operator==(const ClusterImage& a, const ClusterImage& b);
 
 /// Captures \p cl into an image. Throws api::TypedError(kBadConfig) when
 /// the cluster is not quiescent -- a snapshot taken mid-flight would lose
@@ -68,8 +68,5 @@ ClusterImage snapshot(const cluster::Cluster& cl);
 /// api::TypedError(kBadConfig) unless the cluster's config equals the
 /// image's in every field (each shapes the state arrays or the timing).
 void restore(cluster::Cluster& cl, const ClusterImage& img);
-
-/// Recomputes the logical-content hash stored in ClusterImage::fingerprint.
-uint64_t image_fingerprint(const ClusterImage& img);
 
 }  // namespace redmule::state

@@ -10,7 +10,10 @@
 ///    add up to exactly the warm traffic, and misses stay bounded by the
 ///    number of distinct templates;
 ///  - a faulted warm job never poisons the template: the next warm job of
-///    the same spec still matches the oracle bit for bit.
+///    the same spec still matches the oracle bit for bit;
+///  - a miss that loses the publish race forks the canonical image, and
+///    refuses it when its own staging differs (staging must be
+///    deterministic).
 ///
 /// Rounds are deterministic per seed; REDMULE_SNAPSHOT_SOAK_ROUNDS scales
 /// the soak for CI without touching the code.
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "api/pool.hpp"
 #include "api/service.hpp"
 #include "api/workload.hpp"
 #include "common/rng.hpp"
@@ -165,4 +169,36 @@ TEST(ApiSnapshotSoak, WarmColdAndFaultedJobsStayBitIdenticalToOracles) {
   EXPECT_EQ(st.template_misses + st.template_forks, warm_jobs);
   EXPECT_GE(st.template_misses, 1u);
   EXPECT_LE(st.template_misses, weight_seeds.size() * cfg.n_threads);
+}
+
+TEST(ApiSnapshotSoak, LostPublishRaceForksTheCanonicalImage) {
+  // A deterministic race on one thread: pool a's staging runs pool b's whole
+  // miss of the same key first, so b publishes and a's publish loses.
+  const cluster::ClusterConfig cfg = small_base();
+  api::TemplateCache cache;
+  api::ClusterPool a, b;
+  a.set_template_cache(&cache);
+  b.set_template_cache(&cache);
+  const auto stage_byte = [](cluster::Cluster& cl, uint8_t byte) {
+    cl.l2().write(cl.config().l2.base_addr + 64, &byte, 1);
+  };
+  for (const uint8_t a_byte : {uint8_t{7}, uint8_t{8}}) {
+    const std::string key = "race" + std::to_string(a_byte);
+    const auto stage_a = [&](cluster::Cluster& cl) {
+      EXPECT_FALSE(b.acquire_template(cfg, key, [&](cluster::Cluster& c) { stage_byte(c, 7); })
+                       .forked);
+      stage_byte(cl, a_byte);
+    };
+    if (a_byte == 7) {
+      const api::ClusterPool::Acquired acq = a.acquire_template(cfg, key, stage_a);
+      EXPECT_FALSE(acq.forked);
+      EXPECT_TRUE(state::snapshot(*acq.cl) == *cache.find(cfg, key));
+    } else {
+      EXPECT_THROW(a.acquire_template(cfg, key, stage_a), Error)
+          << "a staging that differs from the published image must be refused";
+    }
+  }
+  EXPECT_EQ(a.template_misses(), 2u);
+  EXPECT_EQ(b.template_misses(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }

@@ -9,9 +9,9 @@
 //    tiled (plain, acc=1, ragged), network cold and warm=1, and sharded jobs
 //    through one 2-worker Service, twice; z_hash and JobStats equal
 //    run_one's.
-//  - STATE: a pooled cluster right after a hit has the snapshot fingerprint
-//    (TCDM, L2, module states) of a fresh cluster that ran the model, and
-//    per-GEMM network stats are identical.
+//  - STATE: a pooled cluster right after a hit snapshots to an image == that
+//    of a fresh cluster that ran the model (TCDM, L2, module and core
+//    states), and per-GEMM network stats are identical.
 //  - STATS: modeled plus replayed cycles add up to sim_cycles, and a round
 //    of repeated GEMM jobs is replayed whole.
 //  - BYPASS: a cycle limit inside a recorded GEMM aborts on the model's
@@ -204,7 +204,7 @@ TEST(TimingCacheState, PooledClusterAfterAHitMatchesAFreshCluster) {
     if (!key.empty()) stage(fresh);
     const WorkloadResult oracle = key.empty() ? w->run(fresh, ctx) : w->run_staged(fresh, ctx);
     ASSERT_TRUE(oracle.ok()) << spec;
-    const uint64_t fingerprint = state::snapshot(fresh).fingerprint;
+    const state::ClusterImage model = state::snapshot(fresh);
 
     for (int i = 0; i < 2; ++i) {
       const uint64_t hits0 = pool.timing_cache().counters().hits;
@@ -213,7 +213,7 @@ TEST(TimingCacheState, PooledClusterAfterAHitMatchesAFreshCluster) {
       const WorkloadResult r = key.empty() ? w->run(*acq.cl, ctx) : w->run_staged(*acq.cl, ctx);
       ASSERT_TRUE(r.ok()) << spec;
       EXPECT_EQ(outcome_of(r), outcome_of(oracle)) << spec << " run " << i;
-      EXPECT_EQ(state::snapshot(*acq.cl).fingerprint, fingerprint) << spec << " run " << i;
+      EXPECT_TRUE(state::snapshot(*acq.cl) == model) << spec << " run " << i;
       if (i == 1) {
         EXPECT_GT(pool.timing_cache().counters().hits, hits0) << spec << ": no hit";
       }
@@ -422,8 +422,7 @@ TEST(TimingCacheBudget, ShapeStormStaysWithinBudgetAndMatchesTheModel) {
     const auto want = cluster::TiledGemmRunner(plain, plain_drv).run(x, w);
     EXPECT_TRUE(same_bits(got.z, want.z)) << "shape " << i;
     EXPECT_EQ(got.stats, want.stats) << "shape " << i;
-    EXPECT_EQ(state::snapshot(cached).fingerprint, state::snapshot(plain).fingerprint)
-        << "shape " << i;
+    EXPECT_TRUE(state::snapshot(cached) == state::snapshot(plain)) << "shape " << i;
     EXPECT_LE(cache.counters().bytes, cache.budget_bytes());
   }
   const cluster::TimingCache::Counters& c = cache.counters();

@@ -118,7 +118,7 @@ struct MonolithicRun {
   MatrixF16 z;
   core::JobStats stats;
   ModuleState after;
-  uint64_t fingerprint = 0;
+  state::ClusterImage image;
 };
 
 /// One offload of the case on a reset \p cl (which may have a cache), with
@@ -130,7 +130,7 @@ MonolithicRun offload(Cluster& cl, const MonolithicCase& c, bool salt, uint64_t 
   const MatrixF16 w = operand(c.n, c.k, split_seed(seed, 1), salt);
   const MatrixF16 y = operand(c.m, c.k, split_seed(seed, 2), salt);
   RedmuleDriver::GemmResult res = c.with_y ? drv.gemm_acc(x, w, y) : drv.gemm(x, w);
-  return {std::move(res.z), res.stats, ModuleState::save(cl), state::snapshot(cl).fingerprint};
+  return {std::move(res.z), res.stats, ModuleState::save(cl), state::snapshot(cl)};
 }
 
 bool same_bits(const MatrixF16& a, const MatrixF16& b) {
@@ -170,7 +170,7 @@ TEST(TimingContract, MonolithicHitEqualsTheModel) {
     EXPECT_TRUE(same_bits(hit.z, model.z)) << c.name;
     EXPECT_EQ(hit.stats, model.stats) << c.name;
     EXPECT_TRUE(hit.after == model.after) << c.name;
-    EXPECT_EQ(hit.fingerprint, model.fingerprint) << c.name;
+    EXPECT_TRUE(hit.image == model.image) << c.name;
   }
 }
 
@@ -195,7 +195,7 @@ MonolithicRun offload_in_place(Cluster& cl, uint32_t y_offset, uint64_t seed) {
   r.stats = drv.run_job(job);
   r.z = drv.read_matrix(job.z_ptr, m, k);
   r.after = ModuleState::save(cl);
-  r.fingerprint = state::snapshot(cl).fingerprint;
+  r.image = state::snapshot(cl);
   return r;
 }
 
@@ -211,7 +211,7 @@ TEST(TimingContract, MonolithicYAliasingZ) {
     EXPECT_TRUE(same_bits(run.z, model.z)) << "y_offset " << y_offset;
     EXPECT_EQ(run.stats, model.stats) << "y_offset " << y_offset;
     EXPECT_TRUE(run.after == model.after) << "y_offset " << y_offset;
-    EXPECT_EQ(run.fingerprint, model.fingerprint) << "y_offset " << y_offset;
+    EXPECT_TRUE(run.image == model.image) << "y_offset " << y_offset;
     // Y == Z replays; a Y that only partly overlaps Z runs the model.
     EXPECT_EQ(cache.counters().hits, y_offset == 0 ? 1u : 0u) << "y_offset " << y_offset;
     EXPECT_EQ(cache.counters().misses, y_offset == 0 ? 1u : 0u) << "y_offset " << y_offset;

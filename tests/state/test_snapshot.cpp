@@ -2,8 +2,12 @@
 // page-backed COW L2 behind it):
 //
 //  - ROUND TRIP: restore-equals-snapshot -- restoring an image and
-//    re-snapshotting reproduces the fingerprint, and jobs run after a
-//    restore are bit-identical to jobs run right after the snapshot point.
+//    re-snapshotting gives an image == the restored one (every module's
+//    state differs from reset there, so a restore that skips one fails),
+//    and jobs run after a restore are bit-identical to jobs run right after
+//    the snapshot point.
+//  - EQUALITY: images compare by logical content -- an absent L2 page
+//    equals an all-zero one, FP registers compare by encoding.
 //  - COW L2: untouched pages are shared between a memory and its images
 //    (O(pages) forks, no byte copies); the first write to a shared page
 //    copies exactly that page; all-zero writes to absent pages never
@@ -22,6 +26,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/driver.hpp"
 #include "cluster/network_runner.hpp"
+#include "cluster/tiled_gemm_runner.hpp"
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/regfile.hpp"
@@ -179,24 +184,70 @@ TEST(L2Cow, DroppedPagesAreReusedOnlyAfterARefill) {
 TEST(Snapshot, RestoreEqualsSnapshotAcrossJobs) {
   Cluster cl{ClusterConfig{}};
   RedmuleDriver drv(cl);
-  (void)run_gemm(cl, drv, split_seed(31, 0));  // history before the snapshot
+  // History before the snapshot: a tiled GEMM moves its tiles by DMA, so
+  // every module's state differs from reset at the snapshot point.
+  {
+    Xoshiro256 rng(split_seed(31, 0));
+    const auto x = workloads::random_matrix(40, 56, rng);
+    const auto w = workloads::random_matrix(56, 48, rng);
+    (void)cluster::TiledGemmRunner(cl, drv).run(x, w);
+  }
   drv.free_all();  // pin the host-side allocator at the snapshot point
 
   const state::ClusterImage img = state::snapshot(cl);
-  EXPECT_EQ(img.fingerprint, state::image_fingerprint(img));
+  const cluster::ModuleState reset_state = cluster::ModuleState::save(Cluster{ClusterConfig{}});
+  EXPECT_FALSE(img.modules.sim == reset_state.sim);
+  EXPECT_FALSE(img.modules.hci == reset_state.hci);
+  EXPECT_FALSE(img.modules.dma == reset_state.dma);
+  EXPECT_FALSE(img.modules.engine == reset_state.engine);
 
   // The job run right after the snapshot point is the oracle...
   const JobOutcome oracle = run_gemm(cl, drv, split_seed(31, 1));
 
   // ...and after restoring -- from a different, dirtier state -- the same
-  // job must reproduce it bit for bit, and the re-snapshot must fingerprint
-  // identically (restore-equals-snapshot).
+  // job must reproduce it bit for bit, and the re-snapshot must equal the
+  // image (restore-equals-snapshot).
   (void)run_gemm(cl, drv, split_seed(31, 2));
   state::restore(cl, img);
-  EXPECT_EQ(state::snapshot(cl).fingerprint, img.fingerprint);
+  EXPECT_TRUE(state::snapshot(cl) == img);
   drv.free_all();  // the driver is host state: rewind it like the snapshot did
   const JobOutcome replay = run_gemm(cl, drv, split_seed(31, 1));
   expect_same(replay, oracle, "job after restore vs job after snapshot");
+}
+
+TEST(Snapshot, ImagesCompareByLogicalContent) {
+  Cluster cl{ClusterConfig{}};
+  const state::ClusterImage img = state::snapshot(cl);
+  ASSERT_FALSE(img.cores.empty());
+  ASSERT_FALSE(img.l2.pages.empty());
+  ASSERT_EQ(img.l2.pages[0], nullptr);
+
+  state::ClusterImage other = img;
+  EXPECT_TRUE(other == img);
+  // An all-zero page reads like the absent one it stands for; a set byte
+  // does not.
+  other.l2.pages[0] = std::make_shared<L2Memory::Page>();
+  EXPECT_TRUE(other == img);
+  (*other.l2.pages[0])[7] = 1;
+  EXPECT_FALSE(other == img);
+
+  // FP registers compare by encoding: -0 is not +0, and a NaN equals itself.
+  other = img;
+  other.cores[0].f[3] = fp16::Float16::from_bits(0x8000);
+  EXPECT_FALSE(other == img);
+  state::ClusterImage nan_a = img, nan_b = img;
+  nan_a.cores[0].f[3] = nan_b.cores[0].f[3] = fp16::Float16::from_bits(0x7E00);
+  EXPECT_TRUE(nan_a == nan_b);
+
+  other = img;
+  other.tcdm.words[5] ^= 1;
+  EXPECT_FALSE(other == img);
+  other = img;
+  other.modules.dma.done_sparse.insert(9);
+  EXPECT_FALSE(other == img);
+  other = img;
+  other.modules.hci.bank_rr.at(0) ^= 1;
+  EXPECT_FALSE(other == img);
 }
 
 TEST(Snapshot, MidFlightSnapshotIsTypedBadConfig) {
@@ -267,6 +318,10 @@ TEST(Snapshot, ForkedTemplateLeavesTheImageUntouched) {
     runner.stage_training_template(net, acfg.batch);
   }
   const state::ClusterImage img = state::snapshot(donor);
+  // A deep copy: its pages are private, so == compares their bytes.
+  state::ClusterImage pristine = img;
+  for (auto& page : pristine.l2.pages)
+    if (page) page = std::make_shared<L2Memory::Page>(*page);
 
   Cluster forked{ClusterConfig{}};
   state::restore(forked, img);
@@ -276,8 +331,7 @@ TEST(Snapshot, ForkedTemplateLeavesTheImageUntouched) {
   const auto res = runner.training_step_staged(net_run, x, x, 0.01);
   EXPECT_GT(res.stats.total_cycles, 0u);
 
-  EXPECT_EQ(state::image_fingerprint(img), img.fingerprint)
-      << "running a forked job must not mutate the shared image";
-  EXPECT_EQ(state::snapshot(donor).fingerprint, img.fingerprint)
+  EXPECT_TRUE(img == pristine) << "running a forked job must not mutate the shared image";
+  EXPECT_TRUE(state::snapshot(donor) == pristine)
       << "the donor cluster must be untouched by work on its forks";
 }
