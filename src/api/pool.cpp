@@ -4,41 +4,49 @@ namespace redmule::api {
 
 namespace {
 
-uint64_t bucket(const cluster::ClusterConfig& cfg, const std::string& key) {
-  return pool_key(cfg) ^ std::hash<std::string>{}(key);
-}
+/// A TemplateKey to look up without copying the caller's string.
+struct TemplateKeyRef {
+  const cluster::ClusterConfig& config;
+  const std::string& key;
+
+  uint64_t hash() const { return pool_key(config) ^ std::hash<std::string>{}(key); }
+  friend bool operator==(const TemplateKey& a, const TemplateKeyRef& b) {
+    return a.key == b.key && a.config == b.config;
+  }
+};
 
 }  // namespace
 
-std::shared_ptr<const state::ClusterImage> TemplateCache::find_locked(
-    const cluster::ClusterConfig& cfg, const std::string& key) const {
-  const auto [first, last] = images_.equal_range(bucket(cfg, key));
-  for (auto it = first; it != last; ++it) {
-    const auto& [k, img] = it->second;
-    if (k == key && img->config == cfg) return img;
-  }
-  return nullptr;
-}
+uint64_t TemplateKey::hash() const { return TemplateKeyRef{config, key}.hash(); }
 
 std::shared_ptr<const state::ClusterImage> TemplateCache::find(
-    const cluster::ClusterConfig& cfg, const std::string& key) const {
+    const cluster::ClusterConfig& cfg, const std::string& key) {
   std::lock_guard<std::mutex> l(m_);
-  return find_locked(cfg, key);
+  return images_.find(TemplateKeyRef{cfg, key});
 }
 
 std::shared_ptr<const state::ClusterImage> TemplateCache::insert(
     const std::string& key, std::shared_ptr<const state::ClusterImage> img) {
+  // An image is charged what it holds resident: its TCDM words and L2 pages.
+  const size_t bytes = img->tcdm.words.size() * sizeof(uint32_t) + img->l2.resident_bytes();
+  TemplateKey k{img->config, key};
   std::lock_guard<std::mutex> l(m_);
-  // First writer wins; losers fork the canonical image.
-  if (std::shared_ptr<const state::ClusterImage> first = find_locked(img->config, key))
-    return first;
-  const uint64_t h = bucket(img->config, key);
-  return images_.emplace(h, std::pair(key, std::move(img)))->second.second;
+  return images_.insert(std::move(k), std::move(img), bytes);
 }
 
 size_t TemplateCache::size() const {
   std::lock_guard<std::mutex> l(m_);
   return images_.size();
+}
+
+size_t TemplateCache::bytes() const {
+  std::lock_guard<std::mutex> l(m_);
+  return images_.bytes();
+}
+
+uint64_t TemplateCache::evictions() const {
+  std::lock_guard<std::mutex> l(m_);
+  return images_.evictions();
 }
 
 ClusterPool::Acquired ClusterPool::acquire(const cluster::ClusterConfig& cfg) {

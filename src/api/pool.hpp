@@ -21,7 +21,12 @@
 ///    is bit-identical to a freshly-constructed-and-staged one. The cache is
 ///    the one deliberately shared piece: images are immutable once published
 ///    (shared_ptr<const>, atomic refcounts), so worker threads fork from one
-///    cache without touching each other's clusters.
+///    cache without touching each other's clusters. Clients choose the
+///    template key (every seed= is one), so the cache is bounded: images are
+///    charged their TCDM words plus resident L2 pages against
+///    TemplateCache::kBudgetBytes and evicted least recently used first. A
+///    fork in flight holds its own reference, so evicting the image under it
+///    frees nothing it reads; an evicted key simply stages again (a miss).
 ///  - cluster::TimingCache: each pool owns one and attaches it to every
 ///    cluster it builds, so a GEMM program that repeats on a pooled cluster
 ///    -- a monolithic gemm: offload or a tiled GEMM, alone or inside a
@@ -29,6 +34,11 @@
 ///    cycle-identical).
 ///    Clusters outside a pool never get one: Service::run_one and every
 ///    directly built cluster always run the cycle model.
+///
+/// Both caches are instances of one byte-budgeted LRU, ByteLru
+/// (common/byte_lru.hpp): the template cache puts a mutex around it, the
+/// worker-private timing cache does not. The pool of live clusters is not
+/// bounded yet: it keeps one cluster per distinct config for good.
 ///
 /// api::Service owns one pool per worker thread and one TemplateCache shared
 /// by them, and fronts them with admission control, a priority queue,
@@ -41,43 +51,64 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/workload.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/timing_cache.hpp"
+#include "common/byte_lru.hpp"
 #include "state/snapshot.hpp"
 
 namespace redmule::api {
 
-/// Thread-safe, first-writer-wins store of published template images, keyed
-/// by (resolved cluster config, caller's template key); a hash of both only
-/// picks the bucket. Images are immutable once inserted; lookups hand out
-/// shared_ptr<const> references that stay valid for the caller's lifetime
-/// regardless of later insertions. One cache is shared by all of a Service's
-/// thread-private pools -- the cache mutex covers only the map, never any
+/// A published template image's key: the resolved cluster config and the
+/// caller's template key. hash() only picks the bucket; == confirms both.
+struct TemplateKey {
+  cluster::ClusterConfig config;
+  std::string key;
+
+  uint64_t hash() const;
+  friend bool operator==(const TemplateKey&, const TemplateKey&) = default;
+};
+
+/// Thread-safe, first-writer-wins store of published template images: a
+/// mutex over a ByteLru (common/byte_lru.hpp) keyed by TemplateKey. Images
+/// are immutable once inserted; lookups hand out shared_ptr<const>
+/// references that stay valid for the caller's lifetime whatever the cache
+/// later inserts or evicts. One cache is shared by all of a Service's
+/// thread-private pools -- the cache mutex covers only the LRU, never any
 /// cluster.
 class TemplateCache {
  public:
+  /// Byte budget of one cache, charged by each image's TCDM words plus its
+  /// resident L2 pages. A full-width image holds about 1.4 MB
+  /// (BENCH_snapshot), so 16 MiB keeps about 11 of them; a small network
+  /// template (a 128 KiB TCDM and one or two 64 KiB L2 pages) about 80.
+  static constexpr size_t kBudgetBytes = size_t{16} << 20;
+
+  /// \p budget_bytes exists for tests that need eviction without staging
+  /// dozens of templates; services and pools always use kBudgetBytes.
+  explicit TemplateCache(size_t budget_bytes = kBudgetBytes) : images_(budget_bytes) {}
+
+  /// The image published under (\p cfg, \p key), made most recently used;
+  /// nullptr when none is (never published, or evicted since).
   std::shared_ptr<const state::ClusterImage> find(const cluster::ClusterConfig& cfg,
-                                                  const std::string& key) const;
+                                                  const std::string& key);
   /// Publishes \p img under (its config, \p key) unless another writer got
   /// there first; returns the canonical image either way (first-writer-wins,
-  /// so every fork of a key descends from one image).
+  /// so every fork of a key descends from one image). An image over the
+  /// whole budget is not stored and comes back as the canonical one.
   std::shared_ptr<const state::ClusterImage> insert(
       const std::string& key, std::shared_ptr<const state::ClusterImage> img);
   size_t size() const;
+  /// Bytes the stored images are charged now; never above the budget.
+  size_t bytes() const;
+  /// Images evicted since construction.
+  uint64_t evictions() const;
 
  private:
-  /// Requires m_ held.
-  std::shared_ptr<const state::ClusterImage> find_locked(const cluster::ClusterConfig& cfg,
-                                                         const std::string& key) const;
-
   mutable std::mutex m_;
-  /// Bucket hash -> (caller key, image); the image holds its config.
-  using Entry = std::pair<std::string, std::shared_ptr<const state::ClusterImage>>;
-  std::unordered_multimap<uint64_t, Entry> images_;
+  ByteLru<TemplateKey, state::ClusterImage> images_;
 };
 
 /// Worker-private pool of reusable cluster instances (single-threaded access

@@ -268,8 +268,14 @@ size_t Service::active() const {
 }
 
 ServiceStats Service::stats() const {
-  std::lock_guard<std::mutex> l(m_);
-  return stats_;
+  ServiceStats st;
+  {
+    std::lock_guard<std::mutex> l(m_);
+    st = stats_;
+  }
+  st.template_evictions = templates_.evictions();
+  st.template_bytes = templates_.bytes();
+  return st;
 }
 
 void Service::worker_loop(ClusterPool& pool) {

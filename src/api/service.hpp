@@ -152,6 +152,10 @@ struct ServiceStats {
   uint64_t timing_cache_misses = 0;
   uint64_t timing_cache_evictions = 0;
   uint64_t timing_cache_bytes = 0;
+  /// The shared template cache (api::TemplateCache): images evicted since
+  /// construction and the bytes the images it holds are charged now.
+  uint64_t template_evictions = 0;
+  uint64_t template_bytes = 0;
   /// sim_cycles split by how they were produced: replayed from a timing
   /// cache record, or simulated by the cycle model. Summed per ok job like
   /// sim_cycles, so the two add up to it. A job's replayed figure is the

@@ -1,7 +1,6 @@
 #include "cluster/timing_cache.hpp"
 
 #include <initializer_list>
-#include <iterator>
 #include <optional>
 
 #include "core/golden.hpp"
@@ -109,7 +108,7 @@ TiledGemmStats run_gemm_program(Cluster& cl, bool job_pending, const GemmProgram
   const core::Job g = gemm_of(program);
   if (cache == nullptr || !replayable(cl, job_pending, g)) return model();
   TimingKey key{cl.config(), ModuleState::save(cl), program};
-  const TimingOutcome* rec = cache->find(key);
+  const std::shared_ptr<const TimingOutcome> rec = cache->find(key);
   const sim::RunControl* rc = cl.sim().run_control();
   if (rec != nullptr && (rc == nullptr || rc->cycle_limit() > rec->post.sim.cycle)) {
     cl.sim().checkpoint();
@@ -129,55 +128,18 @@ TiledGemmStats run_gemm_program(Cluster& cl, bool job_pending, const GemmProgram
   return stats;
 }
 
-const TimingOutcome* TimingCache::find(const TimingKey& key) {
-  const uint64_t h = key.hash();
-  const auto [first, last] = index_.equal_range(h);
-  for (auto it = first; it != last; ++it) {
-    if (it->second->key == key) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return &it->second->outcome;
-    }
-  }
-  return nullptr;
-}
-
 void TimingCache::insert(TimingKey key, TimingOutcome outcome) {
   ++counters_.misses;
-  Entry e{std::move(key), std::move(outcome), 0, 0};
-  e.hash = e.key.hash();
-  e.bytes = entry_bytes(e);
-  if (e.bytes > budget_bytes_) return;
-  while (counters_.bytes + e.bytes > budget_bytes_) evict_lru();
-  counters_.bytes += e.bytes;
-  lru_.push_front(std::move(e));
-  index_.emplace(lru_.front().hash, lru_.begin());
-}
-
-size_t TimingCache::entry_bytes(const Entry& e) {
-  // The entry itself, its list and index nodes, and the heap behind the two
-  // states' containers (an ordered-set node is about 48 bytes).
-  constexpr size_t kNodeOverhead = 2 * sizeof(void*) + 4 * sizeof(void*);
+  // The outcome's allocation (with its shared_ptr control block) and the
+  // heap behind the two states' containers (an ordered-set node is about 48
+  // bytes). The key itself is part of the entry the LRU charges.
   constexpr size_t kSetNodeBytes = 48;
-  size_t bytes = sizeof(Entry) + kNodeOverhead;
-  for (const ModuleState* s : {&e.key.pre, &e.outcome.post}) {
+  size_t bytes = sizeof(TimingOutcome) + 2 * sizeof(void*);
+  for (const ModuleState* s : {&key.pre, &outcome.post}) {
     bytes += s->hci.bank_rr.capacity() * sizeof(unsigned);
     bytes += s->dma.done_sparse.size() * kSetNodeBytes;
   }
-  return bytes;
-}
-
-void TimingCache::evict_lru() {
-  const Lru::iterator victim = std::prev(lru_.end());
-  const auto [first, last] = index_.equal_range(victim->hash);
-  for (auto it = first; it != last; ++it) {
-    if (it->second == victim) {
-      index_.erase(it);
-      break;
-    }
-  }
-  counters_.bytes -= victim->bytes;
-  ++counters_.evictions;
-  lru_.erase(victim);
+  lru_.insert(std::move(key), std::make_shared<const TimingOutcome>(std::move(outcome)), bytes);
 }
 
 }  // namespace redmule::cluster

@@ -18,23 +18,23 @@
 /// state::snapshot image equal the model's.
 ///
 /// The key compares the resolved cluster config, the exact pre-state and the
-/// program field by field; the hash only picks the bucket. Entries are
-/// counted in bytes against one fixed budget and evicted least recently
-/// used first. One cache belongs to one api::ClusterPool, which is
-/// worker-private, so the cache takes no lock.
+/// program field by field; the hash only picks the bucket. The store is a
+/// ByteLru (common/byte_lru.hpp), the one LRU body api::TemplateCache also
+/// uses: entries are counted in bytes against one fixed budget and evicted
+/// least recently used first. One cache belongs to one api::ClusterPool,
+/// which is worker-private, so the cache takes no lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
 #include "cluster/cluster.hpp"
 #include "cluster/tiled_gemm_runner.hpp"
+#include "common/byte_lru.hpp"
 
 namespace redmule::cluster {
 
@@ -126,14 +126,11 @@ class TimingCache {
 
   /// \p budget_bytes exists for tests that need eviction without recording
   /// thousands of GEMMs; pools always use kBudgetBytes.
-  explicit TimingCache(size_t budget_bytes = kBudgetBytes)
-      : budget_bytes_(budget_bytes) {}
-  TimingCache(const TimingCache&) = delete;
-  TimingCache& operator=(const TimingCache&) = delete;
+  explicit TimingCache(size_t budget_bytes = kBudgetBytes) : lru_(budget_bytes) {}
 
   /// The recorded outcome for \p key, made most recently used; nullptr when
   /// none is recorded. Counts nothing: run_gemm_program() counts the hits.
-  const TimingOutcome* find(const TimingKey& key);
+  std::shared_ptr<const TimingOutcome> find(const TimingKey& key) { return lru_.find(key); }
   /// Records the cycle model's outcome for \p key (one miss), evicting least
   /// recently used entries until the budget holds. An entry larger than the
   /// whole budget is counted as a miss and dropped.
@@ -148,35 +145,27 @@ class TimingCache {
     /// monolithic job's JobStats::cycles.
     uint64_t replayed_cycles = 0;
   };
-  const Counters& counters() const { return counters_; }
+  Counters counters() const {
+    Counters c = counters_;
+    c.evictions = lru_.evictions();
+    c.bytes = lru_.bytes();
+    return c;
+  }
   size_t entries() const { return lru_.size(); }
   /// Visits every recorded (key, outcome) pair, most recently used first.
   template <class Fn>
   void for_each_entry(Fn&& fn) const {
-    for (const Entry& e : lru_) fn(e.key, e.outcome);
+    lru_.for_each(fn);
   }
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t budget_bytes() const { return lru_.budget_bytes(); }
 
  private:
   friend TiledGemmStats run_gemm_program(Cluster&, bool, const GemmProgram&,
                                          CallableRef<TiledGemmStats()>,
                                          CallableRef<void(const ReplayedGemm&)>);
 
-  struct Entry {
-    TimingKey key;
-    TimingOutcome outcome;
-    uint64_t hash = 0;
-    size_t bytes = 0;
-  };
-  using Lru = std::list<Entry>;  ///< front = most recently used
-
-  static size_t entry_bytes(const Entry& e);
-  void evict_lru();
-
-  size_t budget_bytes_;
-  Lru lru_;
-  std::unordered_multimap<uint64_t, Lru::iterator> index_;
-  Counters counters_;
+  ByteLru<TimingKey, TimingOutcome> lru_;
+  Counters counters_;  ///< hits, misses and replayed_cycles; lru_ holds the rest
 };
 
 }  // namespace redmule::cluster

@@ -13,15 +13,23 @@
 ///    the same spec still matches the oracle bit for bit;
 ///  - a miss that loses the publish race forks the canonical image, and
 ///    refuses it when its own staging differs (staging must be
-///    deterministic).
+///    deterministic);
+///  - two threads forking and publishing through one template cache too
+///    small for their keys, so every publish evicts an image the other
+///    thread may be forking, still match the oracles.
+///
+/// Each round's job and a clean warm job of the same spec run together on
+/// the service's two workers, so they race on one key.
 ///
 /// Rounds are deterministic per seed; REDMULE_SNAPSHOT_SOAK_ROUNDS scales
 /// the soak for CI without touching the code.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/pool.hpp"
@@ -120,11 +128,15 @@ TEST(ApiSnapshotSoak, WarmColdAndFaultedJobsStayBitIdenticalToOracles) {
                 /*attempt=*/-1});
     SubmitOptions opts;
     if (inject) opts.fault_plan = &plan;
-    if (warm) ++warm_jobs;
-    WorkloadResult r =
-        service.submit(WorkloadRegistry::global().create(spec_of(ws, is, warm)),
-                       opts)
-            .get();
+    // The round's job and a clean warm job of the same spec are submitted
+    // together, so the two workers race on one key: both may miss and
+    // publish, or one forks what the other published.
+    api::JobHandle job =
+        service.submit(WorkloadRegistry::global().create(spec_of(ws, is, warm)), opts);
+    api::JobHandle rerun =
+        service.submit(WorkloadRegistry::global().create(spec_of(ws, is, true)));
+    warm_jobs += warm ? 2 : 1;
+    const WorkloadResult r = job.get();
 
     const std::string ctx = "round " + std::to_string(round) +
                             " warm=" + std::to_string(warm) +
@@ -148,12 +160,9 @@ TEST(ApiSnapshotSoak, WarmColdAndFaultedJobsStayBitIdenticalToOracles) {
       ++fired_faults;
     }
 
-    // Template-poisoning probe: a fresh warm job of the same spec must still
-    // fork a pristine image, whatever the faulted run left behind.
-    ++warm_jobs;
-    WorkloadResult clean =
-        service.submit(WorkloadRegistry::global().create(spec_of(ws, is, true)))
-            .get();
+    // Template-poisoning probe: the clean warm job must fork or stage a
+    // pristine image, whatever a faulted run of the key left behind.
+    const WorkloadResult clean = rerun.get();
     ASSERT_TRUE(clean.ok()) << ctx << " (clean warm rerun)";
     EXPECT_EQ(outcome_of(clean), oracle) << ctx << " (clean warm rerun)";
   }
@@ -161,13 +170,15 @@ TEST(ApiSnapshotSoak, WarmColdAndFaultedJobsStayBitIdenticalToOracles) {
   EXPECT_GT(fired_faults, 0u) << "the soak must actually exercise faults";
 
   // Conservation: every warm job either staged (miss) or forked, and the
-  // number of distinct staged templates is bounded by distinct weight seeds
-  // (input_seed is excluded from the key) times the worker count -- two
-  // workers may race to first-stage the same key, but the published image is
+  // misses are bounded by distinct weight seeds (input_seed is excluded from
+  // the key) times the worker count: the images are far below the template
+  // budget, so none is evicted, and each worker misses a key at most once --
+  // the two workers race to first-stage it, and the published image is
   // first-writer-wins either way.
   const api::ServiceStats st = service.stats();
   EXPECT_EQ(st.template_misses + st.template_forks, warm_jobs);
   EXPECT_GE(st.template_misses, 1u);
+  EXPECT_EQ(st.template_evictions, 0u);
   EXPECT_LE(st.template_misses, weight_seeds.size() * cfg.n_threads);
 }
 
@@ -201,4 +212,66 @@ TEST(ApiSnapshotSoak, LostPublishRaceForksTheCanonicalImage) {
   EXPECT_EQ(a.template_misses(), 2u);
   EXPECT_EQ(b.template_misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ApiSnapshotSoak, ForksRaceEvictionInASmallSharedCache) {
+  // Two threads, each with its own pool, walk four keys through one cache
+  // that holds three images: one cycles through them (so under LRU alone it
+  // would never fork), the other takes each key twice in a row. Publishes
+  // evict images the other thread is forking; forks outlive the eviction.
+  constexpr unsigned kKeys = 4, kInputs = 3;
+  std::vector<uint64_t> weight_seeds;
+  for (unsigned i = 0; i < kKeys; ++i) weight_seeds.push_back(split_seed(0x5eed, 10 + i));
+  std::map<std::pair<uint64_t, uint64_t>, Outcome> oracles;
+  for (const uint64_t ws : weight_seeds)
+    for (uint64_t is = 1; is <= kInputs; ++is) {
+      auto w = WorkloadRegistry::global().create(spec_of(ws, is, false));
+      const WorkloadResult r = Service::run_one(*w, small_base());
+      ASSERT_TRUE(r.ok()) << r.error.to_string();
+      oracles.emplace(std::make_pair(ws, is), outcome_of(r));
+    }
+
+  auto probe = WorkloadRegistry::global().create(spec_of(weight_seeds[0], 1, true));
+  const cluster::ClusterConfig cfg =
+      api::resolve_cluster_config(small_base(), probe->requirements());
+  cluster::Cluster staged(cfg);
+  probe->stage_template(staged);
+  const state::ClusterImage img = state::snapshot(staged);
+  const size_t charge = img.tcdm.words.size() * sizeof(uint32_t) + img.l2.resident_bytes();
+  const size_t budget = 3 * charge + charge / 2;
+  api::TemplateCache cache(budget);
+
+  const unsigned jobs_per_thread = 4 * soak_rounds();
+  std::atomic<unsigned> mismatches{0}, over_budget{0};
+  api::ClusterPool pools[2];
+  const auto worker = [&](unsigned t) {
+    api::ClusterPool& pool = pools[t];
+    pool.set_template_cache(&cache);
+    for (unsigned j = 0; j < jobs_per_thread; ++j) {
+      const uint64_t ws = weight_seeds[t == 0 ? j % kKeys : (j / 2 + 2) % kKeys];
+      const uint64_t is = 1 + j % kInputs;
+      auto w = WorkloadRegistry::global().create(spec_of(ws, is, true));
+      const api::ClusterPool::Acquired acq = pool.acquire_template(
+          cfg, w->template_key(), [&](cluster::Cluster& cl) { w->stage_template(cl); });
+      api::RunContext ctx;
+      const WorkloadResult r = w->run_staged(*acq.cl, ctx);
+      if (!r.ok() || !(outcome_of(r) == oracles.at({ws, is}))) ++mismatches;
+      if (cache.bytes() > budget) ++over_budget;
+    }
+  };
+  std::thread other(worker, 1);
+  worker(0);
+  other.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(over_budget.load(), 0u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_LE(cache.size(), 3u);
+  uint64_t forks = 0, misses = 0;
+  for (const api::ClusterPool& p : pools) {
+    forks += p.template_forks();
+    misses += p.template_misses();
+  }
+  EXPECT_EQ(forks + misses, 2u * jobs_per_thread);
+  EXPECT_GT(forks, 0u);
 }

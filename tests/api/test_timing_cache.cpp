@@ -21,6 +21,9 @@
 //    and counts no hit; the cluster's next job still equals the model.
 //  - BUDGET: a storm of distinct shapes stays within the byte budget,
 //    evicts least recently used entries, and still matches the model.
+//  - LRU: the one ByteLru body both caches use keeps a value a caller holds
+//    intact past its eviction, refuses an entry over the whole budget, is
+//    first-writer-wins, and stores a fresh value for a key it evicted.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,6 +39,7 @@
 #include "cluster/network_runner.hpp"
 #include "cluster/tiled_gemm_runner.hpp"
 #include "cluster/timing_cache.hpp"
+#include "common/byte_lru.hpp"
 #include "state/snapshot.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/network.hpp"
@@ -430,4 +434,122 @@ TEST(TimingCacheBudget, ShapeStormStaysWithinBudgetAndMatchesTheModel) {
   EXPECT_GT(c.hits, 0u);
   EXPECT_EQ(c.hits + c.misses, order.size());
   EXPECT_EQ(c.misses - c.evictions, cache.entries());
+}
+
+// --- The one LRU body ------------------------------------------------------------
+
+namespace {
+
+/// Two buckets for every key, so == has to tell keys apart.
+struct LruKey {
+  int id = 0;
+  uint64_t hash() const { return static_cast<uint64_t>(id % 2); }
+  friend bool operator==(const LruKey&, const LruKey&) = default;
+};
+
+using Words = std::vector<uint32_t>;
+using Lru = ByteLru<LruKey, Words>;
+
+/// Each value is charged 1000 bytes: two fit in the budget, a third evicts.
+constexpr size_t kValueBytes = 1000;
+constexpr size_t kLruBudget = 2500;
+
+std::shared_ptr<const Words> words(uint32_t seed) {
+  auto w = std::make_shared<Words>(64);
+  for (size_t i = 0; i < w->size(); ++i) (*w)[i] = seed * 2654435761u + static_cast<uint32_t>(i);
+  return w;
+}
+
+}  // namespace
+
+TEST(ByteLru, AValueACallerHoldsSurvivesItsEviction) {
+  Lru lru(kLruBudget);
+  const Words want = *words(1);
+  std::shared_ptr<const Words> held = lru.insert({1}, words(1), kValueBytes);
+  lru.insert({2}, words(2), kValueBytes);
+  ASSERT_EQ(lru.evictions(), 0u);
+  lru.insert({3}, words(3), kValueBytes);  // evicts key 1, the least recently used
+  EXPECT_EQ(lru.evictions(), 1u);
+  EXPECT_EQ(lru.find(LruKey{1}), nullptr);
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(*held, want);
+  EXPECT_EQ(held.use_count(), 1);  // the caller's reference is the only one left
+  EXPECT_LE(lru.bytes(), lru.budget_bytes());
+}
+
+TEST(ByteLru, FindMakesAnEntryMostRecentlyUsed) {
+  Lru lru(kLruBudget);
+  lru.insert({1}, words(1), kValueBytes);
+  lru.insert({2}, words(2), kValueBytes);
+  ASSERT_NE(lru.find(LruKey{1}), nullptr);
+  lru.insert({3}, words(3), kValueBytes);  // evicts key 2, not the key just found
+  EXPECT_NE(lru.find(LruKey{1}), nullptr);
+  EXPECT_EQ(lru.find(LruKey{2}), nullptr);
+  EXPECT_NE(lru.find(LruKey{3}), nullptr);
+}
+
+TEST(ByteLru, AnOversizeEntryIsNotStoredAndComesBack) {
+  Lru lru(kLruBudget);
+  lru.insert({1}, words(1), kValueBytes);
+  const std::shared_ptr<const Words> big = words(9);
+  EXPECT_EQ(lru.insert({9}, big, kLruBudget), big);
+  EXPECT_EQ(lru.find(LruKey{9}), nullptr);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.evictions(), 0u);  // refusing it evicted nothing
+  EXPECT_NE(lru.find(LruKey{1}), nullptr);
+}
+
+TEST(ByteLru, FirstWriterWins) {
+  Lru lru(kLruBudget);
+  const std::shared_ptr<const Words> first = words(1);
+  EXPECT_EQ(lru.insert({1}, first, kValueBytes), first);
+  const size_t bytes = lru.bytes();
+  EXPECT_EQ(lru.insert({1}, words(7), kValueBytes), first);
+  EXPECT_EQ(lru.find(LruKey{1}), first);
+  EXPECT_EQ(lru.size(), 1u);
+  EXPECT_EQ(lru.bytes(), bytes);
+}
+
+TEST(ByteLru, AnEvictedKeyStoresItsNewValue) {
+  Lru lru(kLruBudget);
+  const std::shared_ptr<const Words> old_value = words(1);
+  lru.insert({1}, old_value, kValueBytes);
+  lru.insert({2}, words(2), kValueBytes);
+  lru.insert({3}, words(3), kValueBytes);
+  ASSERT_EQ(lru.find(LruKey{1}), nullptr);
+  const std::shared_ptr<const Words> fresh = words(11);
+  EXPECT_EQ(lru.insert({1}, fresh, kValueBytes), fresh);
+  EXPECT_EQ(lru.find(LruKey{1}), fresh);
+  EXPECT_NE(*lru.find(LruKey{1}), *old_value);
+  EXPECT_EQ(lru.evictions(), 2u);
+  EXPECT_EQ(lru.size(), 2u);
+}
+
+TEST(ByteLru, AForkOfAnEvictedTemplateImageStillRestoresIt) {
+  // The template cache's instance: a caller forks an image, the image is
+  // evicted under it, and the fork still restores the staged bits.
+  const cluster::ClusterConfig cfg = small_base();
+  const auto image_of = [&](uint8_t byte) {
+    cluster::Cluster cl(cfg);
+    cl.l2().write(cfg.l2.base_addr + 64, &byte, 1);
+    return std::make_shared<const state::ClusterImage>(state::snapshot(cl));
+  };
+  const std::shared_ptr<const state::ClusterImage> first = image_of(1);
+  const size_t charge = first->tcdm.words.size() * sizeof(uint32_t) + first->l2.resident_bytes();
+  api::TemplateCache cache(2 * charge + charge / 2);  // two images fit
+  ASSERT_EQ(cache.insert("a", first), first);
+  const std::shared_ptr<const state::ClusterImage> fork = cache.find(cfg, "a");
+  ASSERT_EQ(fork, first);
+  cache.insert("b", image_of(2));
+  cache.insert("c", image_of(3));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.find(cfg, "a"), nullptr);
+  EXPECT_LE(cache.bytes(), 2 * charge + charge / 2);
+
+  cluster::Cluster cl(cfg);
+  state::restore(cl, *fork);
+  EXPECT_TRUE(state::snapshot(cl) == *image_of(1));
+  uint8_t byte = 0;
+  cl.l2().read(cfg.l2.base_addr + 64, &byte, 1);
+  EXPECT_EQ(byte, 1);
 }
