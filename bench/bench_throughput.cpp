@@ -23,7 +23,8 @@
 /// exit), not a statistic.
 ///
 /// The 1-thread runs additionally quantify reset-vs-reconstruct: the same
-/// batch with cluster reuse disabled (a fresh module hierarchy per job).
+/// batch run one job after another through Service::run_one, which builds a
+/// fresh module hierarchy per job and attaches no timing cache.
 ///
 /// Pooled clusters replay a repeated GEMM program from their timing cache
 /// (cluster/timing_cache.hpp) instead of simulating it, and every timed
@@ -220,6 +221,17 @@ std::vector<Outcome> serial_reference(const std::vector<std::string>& specs) {
   return reference;
 }
 
+/// Wall seconds to run the spec set one job after another through
+/// Service::run_one: the unpooled baseline.
+double run_one_wall(const std::vector<std::string>& specs) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const std::string& s : specs) {
+    auto w = api::WorkloadRegistry::global().create(s);
+    (void)api::Service::run_one(*w, {}, false);
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 /// Submits the whole spec set, waits for every result, and (optionally)
 /// validates each against the serial reference. Priorities interleave three
 /// service classes to exercise the priority queue.
@@ -326,19 +338,13 @@ int main(int argc, char** argv) {
     // fastest repetition is the least-perturbed one.
     const int timed_reps = smoke ? 1 : 3;
 
-    // Reset-vs-reconstruct at 1 thread: same batch, reuse disabled.
+    // Reset-vs-reconstruct at 1 thread: the same batch through run_one, best
+    // of timed_reps after a warmup pass.
+    (void)run_one_wall(mix.specs);
     double no_reuse_wall = 0.0;
-    {
-      api::ServiceConfig cfg;
-      cfg.n_threads = 1;
-      cfg.reuse_clusters = false;
-      api::Service service(cfg);
-      (void)run_batch(service, mix.specs, nullptr, 1, mn, &all_deterministic);
-      for (int r = 0; r < timed_reps; ++r) {
-        const BatchTiming st =
-            run_batch(service, mix.specs, nullptr, 1, mn, &all_deterministic);
-        if (r == 0 || st.wall_s < no_reuse_wall) no_reuse_wall = st.wall_s;
-      }
+    for (int r = 0; r < timed_reps; ++r) {
+      const double wall = run_one_wall(mix.specs);
+      if (r == 0 || wall < no_reuse_wall) no_reuse_wall = wall;
     }
 
     std::vector<SweepPoint> points;

@@ -50,16 +50,19 @@ uint64_t TemplateCache::evictions() const {
 }
 
 ClusterPool::Acquired ClusterPool::acquire(const cluster::ClusterConfig& cfg) {
-  ++jobs_run_;
   for (const std::unique_ptr<cluster::Cluster>& cand : pool_)
     if (cand->config() == cfg) {
       // Unconditional reset before (not after) each job: this also recovers
       // the instance from a previous job that timed out or threw mid-run.
       cand->reset();
+      ++jobs_run_;
       return {cand.get(), false};
     }
+  // Counted once the cluster exists, so a construction that throws is
+  // neither a job nor a reuse.
   pool_.push_back(std::make_unique<cluster::Cluster>(cfg));
   pool_.back()->set_timing_cache(timing_cache_.get());
+  ++jobs_run_;
   return {pool_.back().get(), true};
 }
 
@@ -68,8 +71,8 @@ ClusterPool::Acquired ClusterPool::acquire_template(
     const StageFn& stage) {
   Acquired acq = acquire(cfg);
   if (std::shared_ptr<const state::ClusterImage> img = templates_->find(cfg, key)) {
-    state::restore(*acq.cl, *img);
     ++template_forks_;
+    state::restore(*acq.cl, *img);
     acq.forked = true;
     return acq;
   }

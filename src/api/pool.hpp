@@ -43,7 +43,9 @@
 /// api::Service owns one pool per worker thread and one TemplateCache shared
 /// by them, and fronts them with admission control, a priority queue,
 /// deadlines, cancellation and retry. A pool is never touched by two threads,
-/// so there is no locking on the simulation hot path.
+/// so there is no locking on the simulation hot path. The pool's counters
+/// are the only provisioning tally: the Service adds each job's change in
+/// them to its ServiceStats.
 #pragma once
 
 #include <cstdint>
@@ -162,10 +164,12 @@ class ClusterPool {
     templates_ = cache != nullptr ? cache : local_templates_.get();
   }
 
+  /// Clusters held: every one this pool constructed (it never drops one).
   size_t size() const { return pool_.size(); }
-  /// Total jobs served (acquire() calls) since construction.
+  /// Clusters handed out (acquire() calls that returned) since construction:
+  /// size() of them constructed, the rest reset() pooled instances.
   uint64_t jobs_run() const { return jobs_run_; }
-  /// acquire_template() calls served by restoring a cached image.
+  /// acquire_template() calls that found a cached image to restore.
   uint64_t template_forks() const { return template_forks_; }
   /// acquire_template() calls that staged + published the template.
   uint64_t template_misses() const { return template_misses_; }

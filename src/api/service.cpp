@@ -85,12 +85,7 @@ Service::~Service() {
 
 JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts) {
   Pending job;
-  job.keep_outputs = opts.keep_output.value_or(cfg_.keep_outputs);
-  job.warm = workload && workload->warm_by_default();
-  job.deadline = opts.deadline.value_or(cfg_.default_deadline);
-  job.max_retries = opts.max_retries;
-  job.fault_plan = opts.fault_plan;
-  job.on_complete = std::move(opts.on_complete);
+  job.opts = std::move(opts);
   JobHandle handle;
   handle.future_ = job.promise.get_future();
   if (!workload) {
@@ -128,7 +123,7 @@ JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts
   }
 
   job.work = std::move(workload);
-  job.group = opts.group;
+  const int64_t rank = -static_cast<int64_t>(job.opts.priority);
   Pending victim;
   bool have_victim = false;
   bool shed_self = false;
@@ -144,8 +139,7 @@ JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts
         // level. A new job at the victim's own priority sorts after it (ids
         // grow), so it does not outrank the victim and is shed itself.
         const auto victim_it = std::prev(queue_.end());
-        if (std::make_pair(-static_cast<int64_t>(opts.priority), UINT64_MAX) >=
-            victim_it->first) {
+        if (std::make_pair(rank, UINT64_MAX) >= victim_it->first) {
           ++stats_.shed;
           shed_self = true;
         } else {
@@ -161,8 +155,7 @@ JobHandle Service::submit(std::unique_ptr<Workload> workload, SubmitOptions opts
       job.id = next_id_++;
       handle.id_ = job.id;
       ++stats_.submitted;
-      const auto key =
-          std::make_pair(-static_cast<int64_t>(opts.priority), job.id);
+      const auto key = std::make_pair(rank, job.id);
       queue_index_.emplace(job.id, key);
       queue_.emplace(key, std::move(job));
     }
@@ -226,7 +219,7 @@ size_t Service::cancel_group(uint64_t group) {
   {
     std::lock_guard<std::mutex> l(m_);
     for (auto it = queue_.begin(); it != queue_.end();) {
-      if (it->second.group != group) {
+      if (it->second.opts.group != group) {
         ++it;
         continue;
       }
@@ -286,7 +279,7 @@ void Service::worker_loop(ClusterPool& pool) {
     auto node = queue_.extract(queue_.begin());
     Pending job = std::move(node.mapped());
     queue_index_.erase(job.id);
-    running_.emplace(job.id, RunningJob{job.cancel, job.group});
+    running_.emplace(job.id, RunningJob{job.cancel, job.opts.group});
     ++active_;
     l.unlock();
     run_job(pool, job);
@@ -297,27 +290,32 @@ void Service::worker_loop(ClusterPool& pool) {
 }
 
 void Service::run_job(ClusterPool& pool, Pending& job) {
-  PoolCounters counters;
+  // The pool is this worker's alone, so the change in its counters across
+  // the attempts is exactly this job's provisioning.
+  const size_t size0 = pool.size();
+  const uint64_t jobs0 = pool.jobs_run();
+  const uint64_t forks0 = pool.template_forks();
+  const uint64_t misses0 = pool.template_misses();
   const cluster::TimingCache::Counters tc0 = pool.timing_cache().counters();
   unsigned attempt = 0;
   uint64_t replayed0 = tc0.replayed_cycles;  // at the start of the last attempt
-  WorkloadResult res = execute(pool, job, 0, counters);
+  WorkloadResult res = execute(pool, job, 0);
   // Bounded retry: only the transient kEngineFault class re-runs. Every
   // attempt re-executes from the spec on a reset cluster, so a retried
   // success is bit-identical to a never-faulted run. A raised cancel flag
   // stops the retry ladder (the next attempt would abort immediately).
   while (res.error.code == ErrorCode::kEngineFault &&
-         attempt < job.max_retries &&
+         attempt < job.opts.max_retries &&
          !job.cancel->load(std::memory_order_relaxed)) {
     ++attempt;
     replayed0 = pool.timing_cache().counters().replayed_cycles;
-    res = execute(pool, job, static_cast<int32_t>(attempt), counters);
+    res = execute(pool, job, static_cast<int32_t>(attempt));
   }
   const cluster::TimingCache::Counters& tc1 = pool.timing_cache().counters();
-  // Unsigned wrap-around keeps a shrinking byte count exact in the sum.
-  counters.timing_cache = {tc1.hits - tc0.hits, tc1.misses - tc0.misses,
-                           tc1.evictions - tc0.evictions, tc1.bytes - tc0.bytes,
-                           tc1.replayed_cycles - tc0.replayed_cycles};
+  const uint64_t constructed = pool.size() - size0;
+  const uint64_t reused = pool.jobs_run() - jobs0 - constructed;
+  const uint64_t forks = pool.template_forks() - forks0;
+  const uint64_t misses = pool.template_misses() - misses0;
   const bool ok = res.ok();
   const uint64_t cycles = res.stats.cycles;
   const uint64_t macs = res.stats.macs;
@@ -339,22 +337,22 @@ void Service::run_job(ClusterPool& pool, Pending& job) {
     ++stats_.failed;
     if (res.error.code == ErrorCode::kCancelled) ++stats_.cancelled;
   }
-  stats_.clusters_constructed += counters.constructed;
-  stats_.cluster_reuses += counters.reused;
-  stats_.template_forks += counters.template_forks;
-  stats_.template_misses += counters.template_misses;
-  stats_.timing_cache_hits += counters.timing_cache.hits;
-  stats_.timing_cache_misses += counters.timing_cache.misses;
-  stats_.timing_cache_evictions += counters.timing_cache.evictions;
-  stats_.timing_cache_bytes += counters.timing_cache.bytes;
+  stats_.clusters_constructed += constructed;
+  stats_.cluster_reuses += reused;
+  stats_.template_forks += forks;
+  stats_.template_misses += misses;
+  stats_.timing_cache_hits += tc1.hits - tc0.hits;
+  stats_.timing_cache_misses += tc1.misses - tc0.misses;
+  stats_.timing_cache_evictions += tc1.evictions - tc0.evictions;
+  // Unsigned wrap-around keeps a shrinking byte count exact in the sum.
+  stats_.timing_cache_bytes += tc1.bytes - tc0.bytes;
   running_.erase(job.id);
   l.unlock();
 
   finish(job, std::move(res));
 }
 
-WorkloadResult Service::execute(ClusterPool& pool, Pending& job, int32_t attempt,
-                                PoolCounters& counters) {
+WorkloadResult Service::execute(ClusterPool& pool, Pending& job, int32_t attempt) {
   return guarded([&]() -> WorkloadResult {
     Workload& work = *job.work;
     if (Error err = work.validate()) {
@@ -370,51 +368,27 @@ WorkloadResult Service::execute(ClusterPool& pool, Pending& job, int32_t attempt
     const cluster::ClusterConfig cfg =
         resolve_cluster_config(cfg_.base, work.requirements());
     RunContext ctx;
-    ctx.keep_outputs = job.keep_outputs;
-    ctx.deadline = job.deadline;
+    ctx.keep_outputs = job.opts.keep_output;
+    ctx.deadline = job.opts.deadline.value_or(cfg_.default_deadline);
     ctx.cancel = job.cancel.get();
-    ctx.fault_plan = job.fault_plan;
+    ctx.fault_plan = job.opts.fault_plan;
     ctx.attempt = attempt;
-    if (!cfg_.reuse_clusters) {
-      // Baseline mode: pay full construction/destruction per job. Nothing
-      // persists to fork from, so warm requests degrade to cold runs.
-      cluster::Cluster cl(cfg);
-      ++counters.constructed;
-      return work.run(cl, ctx);
-    }
-    const std::string tkey = job.warm ? work.template_key() : std::string();
-    if (!tkey.empty()) {
-      // Snapshot/fork provisioning: the first job of this template stages
-      // and publishes the image, every later one forks it (COW page-table
-      // copy) and runs only the per-job half. Bit-identical to the cold
-      // path by the restore-equals-snapshot invariant.
-      const ClusterPool::Acquired acq =
-          pool.acquire_template(cfg, tkey, [&work](cluster::Cluster& cl) {
-            work.stage_template(cl);
-          });
-      if (acq.constructed)
-        ++counters.constructed;
-      else
-        ++counters.reused;
-      if (acq.forked)
-        ++counters.template_forks;
-      else
-        ++counters.template_misses;
-      return work.run_staged(*acq.cl, ctx);
-    }
-    const ClusterPool::Acquired acq = pool.acquire(cfg);
-    if (acq.constructed)
-      ++counters.constructed;
-    else
-      ++counters.reused;
-    return work.run(*acq.cl, ctx);
+    const std::string tkey = work.warm_by_default() ? work.template_key() : std::string();
+    if (tkey.empty()) return work.run(*pool.acquire(cfg).cl, ctx);
+    // Snapshot/fork provisioning: the first job of this template stages
+    // and publishes the image, every later one forks it (COW page-table
+    // copy) and runs only the per-job half. Bit-identical to the cold
+    // path by the restore-equals-snapshot invariant.
+    cluster::Cluster& cl = *pool.acquire_template(
+        cfg, tkey, [&work](cluster::Cluster& c) { work.stage_template(c); }).cl;
+    return work.run_staged(cl, ctx);
   });
 }
 
 void Service::finish(Pending& job, WorkloadResult res) {
-  if (job.on_complete) {
+  if (job.opts.on_complete) {
     try {
-      job.on_complete(res);
+      job.opts.on_complete(res);
     } catch (...) {
       // Callbacks must not kill the worker; the result still flows through
       // the future either way.

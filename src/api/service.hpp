@@ -80,9 +80,7 @@ enum class QueueFullPolicy : uint8_t {
 };
 
 struct ServiceConfig {
-  unsigned n_threads = 1;      ///< worker threads; 0 = hardware_concurrency
-  bool reuse_clusters = true;  ///< false: reconstruct per job (baseline mode)
-  bool keep_outputs = false;   ///< default for SubmitOptions::keep_output
+  unsigned n_threads = 1;  ///< worker threads; 0 = hardware_concurrency
   /// Backpressure: queued (not yet running) jobs beyond this bound trigger
   /// queue_full_policy. 0 = unbounded (the legacy behavior).
   size_t max_queue = 0;
@@ -101,8 +99,9 @@ struct SubmitOptions {
   /// client's jobs with its session id so a disconnect unwinds exactly that
   /// client's work.
   uint64_t group = 0;
-  /// Overrides ServiceConfig::keep_outputs for this job.
-  std::optional<bool> keep_output;
+  /// Return the output matrix in WorkloadResult::z (tests, examples);
+  /// otherwise the result carries only its z_hash.
+  bool keep_output = false;
   /// Per-job execution budget; overrides ServiceConfig::default_deadline.
   std::optional<Deadline> deadline;
   /// Re-run the job up to this many extra times when its result is the
@@ -137,11 +136,13 @@ struct ServiceStats {
   uint64_t retries = 0;    ///< re-executions after a transient kEngineFault
   uint64_t sim_cycles = 0;  ///< sum of per-job simulated cycles (ok jobs)
   uint64_t macs = 0;        ///< sum of per-job useful MACs (ok jobs)
+  /// How the workers' pools provisioned each attempt (a retry is one
+  /// more): a newly constructed cluster, or a reset() pooled one.
   uint64_t clusters_constructed = 0;
-  uint64_t cluster_reuses = 0;  ///< jobs served by a reset() pooled instance
-  /// Warm-start provisioning: jobs served by COW-forking a cached template
-  /// image vs jobs that staged + published the template themselves. Their
-  /// sum counts the executions that took the template path at all.
+  uint64_t cluster_reuses = 0;
+  /// Warm-start provisioning: attempts served by COW-forking a cached
+  /// template image vs attempts that staged + published the template
+  /// themselves. Their sum counts the attempts that took the template path.
   uint64_t template_forks = 0;
   uint64_t template_misses = 0;
   /// The workers' timing caches (cluster/timing_cache.hpp): GEMM programs
@@ -276,18 +277,12 @@ class Service {
  private:
   struct Pending {
     uint64_t id = 0;
-    uint64_t group = 0;
     std::unique_ptr<Workload> work;
-    bool keep_outputs = false;
-    bool warm = false;  ///< Workload::warm_by_default() at submission
-    Deadline deadline{};
-    unsigned max_retries = 0;
-    const sim::FaultPlan* fault_plan = nullptr;
+    SubmitOptions opts;  ///< as submitted
     /// Cooperative cancel flag; shared so cancel() can raise it while the
     /// worker owns the Pending.
     std::shared_ptr<std::atomic<bool>> cancel =
         std::make_shared<std::atomic<bool>>(false);
-    std::function<void(const WorkloadResult&)> on_complete;
     std::promise<WorkloadResult> promise;
   };
 
@@ -295,17 +290,12 @@ class Service {
   /// queue is non-empty and runs it with the worker's own pool, until
   /// ~Service raises stop_.
   void worker_loop(ClusterPool& pool);
-  /// Runs one popped job (with retries) and publishes its result.
+  /// Runs one popped job (with retries) and publishes its result. The
+  /// pool counts what it provisions; the job adds the change in its
+  /// counters to the service's.
   void run_job(ClusterPool& pool, Pending& job);
-  struct PoolCounters {
-    uint64_t constructed = 0;
-    uint64_t reused = 0;
-    uint64_t template_forks = 0;
-    uint64_t template_misses = 0;
-    cluster::TimingCache::Counters timing_cache;  ///< this job's changes
-  };
-  WorkloadResult execute(ClusterPool& pool, Pending& job, int32_t attempt,
-                         PoolCounters& counters);
+  /// One attempt: provisions a cluster from \p pool and runs the job on it.
+  WorkloadResult execute(ClusterPool& pool, Pending& job, int32_t attempt);
   static void finish(Pending& job, WorkloadResult res);
 
   ServiceConfig cfg_;

@@ -47,10 +47,11 @@ void restore(cluster::Cluster& cl, const ClusterImage& img) {
         api::ErrorCode::kBadConfig,
         "cluster restore refused: the image was taken on a different "
         "cluster configuration");
-  // Reset first: restore must work from any state, including a cluster whose
-  // last job was aborted mid-flight. The per-module restore_state() calls
-  // then install the persistent state over the constructed baseline.
-  cl.reset();
+  // Restore must work from any state, including a cluster whose last job was
+  // aborted mid-flight, without a whole-cluster reset first: the TCDM words,
+  // the L2 page table and the kernel counters are overwritten wholesale, and
+  // HCI, DMA, the engine and every core reset their transient side inside
+  // their own restore_state() before installing the persistent one.
   cl.tcdm().restore_state(img.tcdm);
   cl.l2().restore_state(img.l2);
   img.modules.restore(cl);

@@ -62,9 +62,10 @@ bool operator==(const ClusterImage& a, const ClusterImage& b);
 /// in-flight interconnect/DMA/engine state and can never round-trip.
 ClusterImage snapshot(const cluster::Cluster& cl);
 
-/// Restores \p img onto \p cl: full reset, then per-module state install.
-/// Works from *any* cluster state (including one whose last job was aborted
-/// mid-flight -- reset clears the wreckage first). Throws
+/// Restores \p img onto \p cl, module by module. Works from *any* cluster
+/// state (including one whose last job was aborted mid-flight): each module
+/// either is overwritten wholesale or resets its transient side inside its
+/// own restore_state(), so no whole-cluster reset is needed first. Throws
 /// api::TypedError(kBadConfig) unless the cluster's config equals the
 /// image's in every field (each shapes the state arrays or the timing).
 void restore(cluster::Cluster& cl, const ClusterImage& img);

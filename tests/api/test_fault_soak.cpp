@@ -90,8 +90,9 @@ TEST(ApiFaultSoak, InjectedFaultsAreTypedContainedAndNeverPoisonThePool) {
   ServiceConfig cfg;
   cfg.n_threads = 1;  // one worker == one pool: every job shares clusters
   cfg.base = small_base();
-  cfg.keep_outputs = true;
   Service service(cfg);
+  SubmitOptions keep;
+  keep.keep_output = true;
 
   Xoshiro256 rng(split_seed(0xfa0171, 1));
   unsigned fired_faults = 0;
@@ -107,7 +108,7 @@ TEST(ApiFaultSoak, InjectedFaultsAreTypedContainedAndNeverPoisonThePool) {
     sim::FaultPlan plan;
     plan.add({kind, at_cycle,
               kind == sim::FaultKind::kDmaStall ? stall : 0, /*attempt=*/-1});
-    SubmitOptions opts;
+    SubmitOptions opts = keep;
     opts.fault_plan = &plan;
     WorkloadResult r =
         service.submit(WorkloadRegistry::global().create(spec), opts).get();
@@ -136,7 +137,7 @@ TEST(ApiFaultSoak, InjectedFaultsAreTypedContainedAndNeverPoisonThePool) {
     // worker (reset-recovered pooled cluster) must match the oracle bit for
     // bit -- whatever state the faulted run left behind.
     WorkloadResult clean =
-        service.submit(WorkloadRegistry::global().create(spec)).get();
+        service.submit(WorkloadRegistry::global().create(spec), keep).get();
     ASSERT_TRUE(clean.ok()) << ctx << " (clean rerun): "
                             << clean.error.to_string();
     EXPECT_EQ(outcome_of(clean), oracle[which]) << ctx << " (clean rerun)";

@@ -212,11 +212,12 @@ TEST(ApiDeadlines, ArmedButUnexpiredControlIsObservationallyPure) {
 TEST(ApiCancel, RunningJobCancelsCooperativelyAndPoolSurvives) {
   ServiceConfig cfg;
   cfg.n_threads = 1;
-  cfg.keep_outputs = true;
   Service service(cfg);
+  SubmitOptions keep;
+  keep.keep_output = true;
 
   const WorkloadResult before =
-      service.submit(WorkloadRegistry::global().create(kGemmSpec)).get();
+      service.submit(WorkloadRegistry::global().create(kGemmSpec), keep).get();
   ASSERT_TRUE(before.ok());
 
   auto spin = std::make_unique<SpinWorkload>();
@@ -234,7 +235,7 @@ TEST(ApiCancel, RunningJobCancelsCooperativelyAndPoolSurvives) {
   // The worker survived, and its pooled cluster (shared with the GEMM jobs
   // above -- same requirements) is recovered by reset-before-run.
   WorkloadResult after =
-      service.submit(WorkloadRegistry::global().create(kGemmSpec)).get();
+      service.submit(WorkloadRegistry::global().create(kGemmSpec), keep).get();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(outcome_of(after), outcome_of(before));
 

@@ -3,8 +3,8 @@
 //
 //  - EQUIVALENCE: per-job z_hash/stats via the async api::Service are
 //    bit-identical to the serial Service::run_one reference for equivalent
-//    specs, across >= 2 thread counts, both priority orders, and cluster
-//    reuse on/off.
+//    specs, across >= 2 thread counts, both priority orders, and pooled
+//    clusters reused across jobs.
 //  - ERROR TAXONOMY: oversized TCDM/L2 requests, invalid geometry, and a
 //    throwing workload produce typed errors, never poison the worker's
 //    pooled clusters, and leave subsequent jobs deterministic.
@@ -26,6 +26,7 @@
 
 #include "api/workload.hpp"
 #include "common/rng.hpp"
+#include "sim/fault_plan.hpp"
 
 using namespace redmule;
 using api::ErrorCode;
@@ -135,36 +136,31 @@ TEST(ApiService, MatchesSerialReferenceAcrossThreadsPrioritiesAndReuse) {
   }
 
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool reuse : {true, false}) {
-      for (const bool ascending : {true, false}) {
-        ServiceConfig cfg;
-        cfg.n_threads = threads;
-        cfg.reuse_clusters = reuse;
-        cfg.keep_outputs = true;
-        cfg.base = small_base();
-        Service service(cfg);
-        std::vector<JobHandle> handles;
-        for (size_t i = 0; i < scen.size(); ++i) {
-          SubmitOptions opts;
-          opts.priority = ascending ? static_cast<int>(i)
-                                    : static_cast<int>(scen.size() - i);
-          handles.push_back(
-              service.submit(WorkloadRegistry::global().create(scen[i]), opts));
-        }
-        for (size_t i = 0; i < handles.size(); ++i) {
-          WorkloadResult r = handles[i].get();
-          ASSERT_TRUE(r.ok())
-              << "t=" << threads << " reuse=" << reuse << " asc=" << ascending
-              << " job " << i << ": " << r.error.to_string();
-          EXPECT_EQ(outcome_of(r), outcome_of(ref[i]))
-              << "t=" << threads << " reuse=" << reuse << " asc=" << ascending
-              << " job " << i;
-          ASSERT_EQ(r.z.rows(), ref[i].z.rows());
-          ASSERT_EQ(r.z.cols(), ref[i].z.cols());
-          EXPECT_EQ(std::memcmp(r.z.data(), ref[i].z.data(), r.z.size_bytes()),
-                    0)
-              << "job " << i;
-        }
+    ServiceConfig cfg;
+    cfg.n_threads = threads;
+    cfg.base = small_base();
+    Service service(cfg);
+    // The second pass runs on the pooled clusters the first one built.
+    for (const bool ascending : {true, false}) {
+      std::vector<JobHandle> handles;
+      for (size_t i = 0; i < scen.size(); ++i) {
+        SubmitOptions opts;
+        opts.priority = ascending ? static_cast<int>(i)
+                                  : static_cast<int>(scen.size() - i);
+        opts.keep_output = true;
+        handles.push_back(
+            service.submit(WorkloadRegistry::global().create(scen[i]), opts));
+      }
+      for (size_t i = 0; i < handles.size(); ++i) {
+        WorkloadResult r = handles[i].get();
+        ASSERT_TRUE(r.ok()) << "t=" << threads << " asc=" << ascending << " job "
+                            << i << ": " << r.error.to_string();
+        EXPECT_EQ(outcome_of(r), outcome_of(ref[i]))
+            << "t=" << threads << " asc=" << ascending << " job " << i;
+        ASSERT_EQ(r.z.rows(), ref[i].z.rows());
+        ASSERT_EQ(r.z.cols(), ref[i].z.cols());
+        EXPECT_EQ(std::memcmp(r.z.data(), ref[i].z.data(), r.z.size_bytes()), 0)
+            << "job " << i;
       }
     }
   }
@@ -227,12 +223,13 @@ TEST(ApiErrors, ThrowingWorkloadIsEngineFaultAndDoesNotPoisonThePool) {
   // One worker, so the faulting job and the real jobs share pooled clusters.
   ServiceConfig cfg;
   cfg.n_threads = 1;
-  cfg.keep_outputs = true;
   Service service(cfg);
+  SubmitOptions keep;
+  keep.keep_output = true;
 
   const std::string spec = "gemm:m=16,n=16,k=16,seed=5";
   WorkloadResult before =
-      service.submit(WorkloadRegistry::global().create(spec)).get();
+      service.submit(WorkloadRegistry::global().create(spec), keep).get();
   ASSERT_TRUE(before.ok());
 
   WorkloadResult fault = service.submit(std::make_unique<ThrowingWorkload>()).get();
@@ -252,7 +249,7 @@ TEST(ApiErrors, ThrowingWorkloadIsEngineFaultAndDoesNotPoisonThePool) {
   // Subsequent identical job: bit-identical to the pre-fault run, on the
   // reused (reset) cluster.
   WorkloadResult after =
-      service.submit(WorkloadRegistry::global().create(spec)).get();
+      service.submit(WorkloadRegistry::global().create(spec), keep).get();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(outcome_of(after), outcome_of(before));
 
@@ -404,7 +401,6 @@ TEST(ApiWarmStart, WarmJobsMatchColdOracleAndCountForks) {
 
   ServiceConfig cfg;
   cfg.n_threads = 1;  // deterministic fork/miss accounting
-  cfg.reuse_clusters = true;
   cfg.base = small_base();
   Service service(cfg);
   std::vector<JobHandle> handles;
@@ -447,7 +443,6 @@ TEST(ApiWarmStart, InputSeedVariantsShareOneTemplate) {
 
   ServiceConfig cfg;
   cfg.n_threads = 1;
-  cfg.reuse_clusters = true;
   cfg.base = small_base();
   Service service(cfg);
   std::vector<JobHandle> handles;
@@ -470,7 +465,6 @@ TEST(ApiWarmStart, GemmWorkloadsHaveNoTemplateAndStayCold) {
   // template-cache traffic.
   ServiceConfig cfg;
   cfg.n_threads = 1;
-  cfg.reuse_clusters = true;
   Service service(cfg);
   const WorkloadResult r = service
       .submit(WorkloadRegistry::global().create("gemm:m=16,n=16,k=16,seed=6"))
@@ -479,6 +473,47 @@ TEST(ApiWarmStart, GemmWorkloadsHaveNoTemplateAndStayCold) {
   const api::ServiceStats st = service.stats();
   EXPECT_EQ(st.template_misses, 0u);
   EXPECT_EQ(st.template_forks, 0u);
+}
+
+TEST(ApiWarmStart, EveryAttemptIsCountedOnce) {
+  // Each attempt -- a retry is one more -- is provisioned by one
+  // construction or one reuse, and each warm attempt by one fork or one
+  // miss, whichever of the two workers runs it.
+  ServiceConfig cfg;
+  cfg.n_threads = 2;
+  cfg.base = small_base();
+  Service service(cfg);
+  const std::vector<std::string> cold = {
+      scenarios()[0], scenarios()[1], scenarios()[2], scenarios()[0], scenarios()[2]};
+  const std::vector<std::string> warm = {
+      network_spec(split_seed(77, 3), true), network_spec(split_seed(77, 3), true, 7),
+      network_spec(split_seed(77, 4), true)};
+  std::vector<JobHandle> handles;
+  for (const std::string& spec : cold)
+    handles.push_back(service.submit(WorkloadRegistry::global().create(spec)));
+  for (const std::string& spec : warm)
+    handles.push_back(service.submit(WorkloadRegistry::global().create(spec)));
+  // A warm job whose first two attempts fault: three attempts, two retries.
+  sim::FaultPlan plan;
+  plan.add({sim::FaultKind::kEngineFault, 0, 0, /*attempt=*/0})
+      .add({sim::FaultKind::kEngineFault, 0, 0, /*attempt=*/1});
+  SubmitOptions retried;
+  retried.max_retries = 2;
+  retried.fault_plan = &plan;
+  handles.push_back(service.submit(
+      WorkloadRegistry::global().create(network_spec(split_seed(77, 3), true)), retried));
+  for (JobHandle& h : handles) {
+    const WorkloadResult r = h.get();
+    ASSERT_TRUE(r.ok()) << r.error.to_string();
+  }
+
+  const api::ServiceStats st = service.stats();
+  const uint64_t jobs = cold.size() + warm.size() + 1;
+  EXPECT_EQ(st.completed, jobs);
+  EXPECT_EQ(st.retries, 2u);
+  EXPECT_EQ(st.clusters_constructed + st.cluster_reuses, jobs + st.retries);
+  EXPECT_EQ(st.template_forks + st.template_misses, warm.size() + 3);
+  EXPECT_EQ(st.modeled_cycles + st.replayed_cycles, st.sim_cycles);
 }
 
 // --- Registry ----------------------------------------------------------------

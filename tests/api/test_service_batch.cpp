@@ -20,6 +20,7 @@ using namespace redmule;
 using api::JobHandle;
 using api::Service;
 using api::ServiceConfig;
+using api::SubmitOptions;
 using api::WorkloadRegistry;
 using api::WorkloadResult;
 
@@ -71,18 +72,17 @@ void expect_same_z(const workloads::MatrixF16& a, const workloads::MatrixF16& b,
 /// Submits every spec (in order) and collects results in submission order.
 std::vector<WorkloadResult> run_with(unsigned threads,
                                      const std::vector<std::string>& specs,
-                                     bool reuse = true,
                                      cluster::ClusterConfig base = {}) {
   ServiceConfig cfg;
   cfg.n_threads = threads;
-  cfg.reuse_clusters = reuse;
-  cfg.keep_outputs = true;
   cfg.base = base;
   Service service(cfg);
+  SubmitOptions keep;
+  keep.keep_output = true;
   std::vector<JobHandle> handles;
   handles.reserve(specs.size());
   for (const std::string& s : specs)
-    handles.push_back(service.submit(WorkloadRegistry::global().create(s)));
+    handles.push_back(service.submit(WorkloadRegistry::global().create(s), keep));
   std::vector<WorkloadResult> results;
   results.reserve(handles.size());
   for (JobHandle& h : handles) results.push_back(h.get());
@@ -127,13 +127,18 @@ TEST(ServiceBatch, ThreadCountIsInvisible) {
 }
 
 TEST(ServiceBatch, ClusterReuseIsInvisible) {
+  // The second wave runs on reset() pooled clusters; each job must equal its
+  // run_one reference on a fresh, unpooled cluster.
   const auto specs = mixed_specs();
-  const auto reused = run_with(2, specs, /*reuse=*/true);
-  const auto rebuilt = run_with(2, specs, /*reuse=*/false);
+  std::vector<std::string> two_waves = specs;
+  two_waves.insert(two_waves.end(), specs.begin(), specs.end());
+  const auto results = run_with(2, two_waves);
   for (size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_TRUE(reused[i].ok() && rebuilt[i].ok());
-    expect_same_stats(reused[i].stats, rebuilt[i].stats, i);
-    expect_same_z(reused[i].z, rebuilt[i].z, i);
+    const WorkloadResult& reused = results[specs.size() + i];
+    ASSERT_TRUE(reused.ok()) << reused.error.to_string();
+    const WorkloadResult rebuilt = reference(specs[i]);
+    expect_same_stats(reused.stats, rebuilt.stats, i);
+    expect_same_z(reused.z, rebuilt.z, i);
   }
 }
 
@@ -239,7 +244,7 @@ TEST(ServiceBatch, TiledJobsMatchMonolithicAndStayDeterministic) {
     mono.push_back("gemm:" + body);
   }
 
-  const auto ref = run_with(1, tiled, /*reuse=*/true, small_base);
+  const auto ref = run_with(1, tiled, small_base);
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_TRUE(ref[i].ok()) << ref[i].error.to_string();
     // Same job, monolithic: default base grows the TCDM to fit everything.
@@ -252,7 +257,7 @@ TEST(ServiceBatch, TiledJobsMatchMonolithicAndStayDeterministic) {
   }
 
   for (int rep = 0; rep < 2; ++rep) {  // second rep runs on reused clusters
-    const auto got = run_with(2, tiled, /*reuse=*/true, small_base);
+    const auto got = run_with(2, tiled, small_base);
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_TRUE(got[i].ok()) << got[i].error.to_string();
       expect_same_stats(got[i].stats, ref[i].stats, i);
@@ -271,7 +276,7 @@ TEST(ServiceBatch, TiledJobBeyondAddressableL2FailsCleanly) {
 }
 
 TEST(ServiceBatch, ResultsAreMoveOnly) {
-  // keep_outputs results carry full Z matrices; the result pipeline must
+  // keep_output results carry full Z matrices; the result pipeline must
   // move them end to end. Copying is a compile error by design.
   static_assert(!std::is_copy_constructible_v<WorkloadResult>);
   static_assert(!std::is_copy_assignable_v<WorkloadResult>);

@@ -104,7 +104,6 @@ TEST(ApiSnapshotSoak, WarmColdAndFaultedJobsStayBitIdenticalToOracles) {
 
   ServiceConfig cfg;
   cfg.n_threads = 2;  // forks cross worker pools through the shared cache
-  cfg.reuse_clusters = true;
   cfg.base = small_base();
   Service service(cfg);
 

@@ -11,9 +11,12 @@
 #include "cluster/cluster.hpp"
 #include "cluster/driver.hpp"
 #include "cluster/network_runner.hpp"
+#include "cluster/tiled_gemm_runner.hpp"
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/regfile.hpp"
+#include "isa/assembler.hpp"
+#include "sim/run_control.hpp"
 #include "state/snapshot.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/network.hpp"
@@ -222,6 +225,54 @@ void abandon_job_mid_flight(Cluster& cl, RedmuleDriver& drv) {
   ASSERT_TRUE(rm.busy());  // genuinely mid-job
 }
 
+uint64_t core_mem_stalls(const Cluster& cl) {
+  uint64_t stalls = 0;
+  for (unsigned i = 0; i < cl.n_cores(); ++i) stalls += cl.core(i).stats().mem_stalls;
+  return stalls;
+}
+
+// Leaves every module of \p cl mid-flight at once: the cores hammer one
+// TCDM bank with loads while a tiled GEMM streams through the pipeline, a
+// cycle budget aborts the pipeline, and the cluster steps on to a cycle that
+// ends with a core waiting on a lost arbitration. The DMA then has
+// transfers in flight, the engine is mid-tile, the interconnect holds live
+// results and a core holds a pending memory access. Budgets grow until the
+// abort lands while a tile computes and the next one streams in.
+void abort_tiled_gemm_mid_pipeline(Cluster& cl) {
+  const isa::Program load_loop = isa::assemble(R"(
+    loop:
+      lw t1, 0(a0)
+      lw t1, 0(a0)
+      lw t1, 0(a0)
+      lw t1, 0(a0)
+      j  loop
+  )");
+  Xoshiro256 rng(split_seed(44, 3));
+  // X, W and Z overflow the 128 KiB TCDM, so the GEMM tiles.
+  const auto x = workloads::random_matrix(128, 256, rng);
+  const auto w = workloads::random_matrix(256, 128, rng);
+  for (uint64_t budget = 1024; budget <= 64 * 1024; budget += 1024) {
+    cl.reset();
+    for (unsigned i = 0; i < cl.n_cores(); ++i) {
+      cl.core(i).load_program(load_loop);
+      cl.core(i).set_reg(10, cl.tcdm().config().base_addr);  // a0
+    }
+    RedmuleDriver drv(cl);
+    sim::RunControl rc;
+    rc.set_cycle_limit(budget);
+    cl.install_run_control(&rc);
+    EXPECT_THROW((void)cluster::TiledGemmRunner(cl, drv).run(x, w), sim::RunAborted);
+    cl.install_run_control(nullptr);
+    for (int i = 0; i < 64 && !cl.dma().idle() && cl.redmule().busy(); ++i) {
+      const uint64_t stalls = core_mem_stalls(cl);
+      cl.step();
+      if (core_mem_stalls(cl) > stalls && !cl.dma().idle() && cl.redmule().busy())
+        return;
+    }
+  }
+  FAIL() << "no cycle left the DMA, the engine and a core all mid-flight";
+}
+
 }  // namespace
 
 TEST(ClusterReset, ForkedClusterMatchesFreshlyStagedCluster) {
@@ -267,7 +318,7 @@ TEST(ClusterReset, RestoreAfterAbortedJobMatchesFreshlyStaged) {
   const TrainingOutcome oracle = run_staged_training(fresh);
 
   // Abort a job mid-flight, then recover the cluster by restoring the
-  // template image: restore resets first, so it must work from any state.
+  // template image: restore must work from any state.
   Cluster cl{ClusterConfig{}};
   RedmuleDriver drv(cl);
   abandon_job_mid_flight(cl, drv);
@@ -275,6 +326,30 @@ TEST(ClusterReset, RestoreAfterAbortedJobMatchesFreshlyStaged) {
   EXPECT_FALSE(cl.redmule().busy());
   const TrainingOutcome recovered = run_staged_training(cl);
   expect_same_training(recovered, oracle, "restore after abort vs fresh");
+}
+
+TEST(ClusterReset, RestoreAfterAbortedTiledPipelineMatchesFreshlyStaged) {
+  // Restore resets no whole cluster: every module must clear its own
+  // transient side. Wreck all of them at once, restore, and require the
+  // image back exactly and the staged run to match the oracle.
+  Cluster fresh{ClusterConfig{}};
+  {
+    RedmuleDriver drv(fresh);
+    NetworkRunner runner(fresh, drv);
+    const workloads::NetworkGraph net = fork_test_net();
+    runner.stage_training_template(net, 2);
+  }
+  const state::ClusterImage img = state::snapshot(fresh);
+  const TrainingOutcome oracle = run_staged_training(fresh);
+
+  Cluster cl{ClusterConfig{}};
+  abort_tiled_gemm_mid_pipeline(cl);
+  ASSERT_FALSE(HasFailure());
+  state::restore(cl, img);
+  ASSERT_TRUE(cl.sim().quiescent()) << "restore left a module mid-flight";
+  EXPECT_TRUE(state::snapshot(cl) == img) << "re-snapshot differs from the image";
+  const TrainingOutcome recovered = run_staged_training(cl);
+  expect_same_training(recovered, oracle, "restore after aborted pipeline vs fresh");
 }
 
 TEST(ClusterReset, MidFlightSnapshotIsRefusedWithTypedError) {

@@ -548,13 +548,14 @@ TEST(NetworkRunner, BatchedTrainingJobsDeterministicAcrossThreadsAndReuse) {
 
   api::ServiceConfig cfg;
   cfg.n_threads = 2;
-  cfg.keep_outputs = true;
   api::Service threaded(cfg);
+  api::SubmitOptions keep;
+  keep.keep_output = true;
   for (int rep = 0; rep < 2; ++rep) {  // second rep runs on reused clusters
     std::vector<api::JobHandle> handles;
     for (const std::string& spec : specs)
       handles.push_back(
-          threaded.submit(api::WorkloadRegistry::global().create(spec)));
+          threaded.submit(api::WorkloadRegistry::global().create(spec), keep));
     for (size_t i = 0; i < handles.size(); ++i) {
       api::WorkloadResult got = handles[i].get();
       ASSERT_TRUE(got.ok()) << got.error.to_string();

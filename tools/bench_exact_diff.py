@@ -5,10 +5,12 @@ Usage: tools/bench_exact_diff.py <baseline.json> <fresh.json>
 
 Gated (exit 1 on any difference or on a record missing from the fresh
 run): every record whose unit is "cycle", "MAC" or "B", every
-"exactness_ok" marker, and the run-to-run determinism markers of the serve
-and batch benches. These are simulated quantities -- cycle counts, useful
-MACs, byte counts -- and bit-exactness verdicts, so they must not move when
-the code changes without meaning to change the model.
+"exactness_ok" marker, the run-to-run determinism markers of the serve
+and batch benches, and the batch bench's one-worker cluster reuse counts.
+These are simulated quantities -- cycle counts, useful MACs, byte counts --
+bit-exactness verdicts and provisioning counts that one worker makes
+deterministic, so they must not move when the code changes without meaning
+to change the model or the pool.
 
 Every other record (wall-clock times, rates, speedups) depends on the host
 and is printed side by side for information only.
@@ -20,6 +22,9 @@ EXACT_UNITS = {"cycle", "MAC", "B"}
 # Named one by one: other "*ok"-looking records (speedup_ok, warm_wins,
 # fp16.native_lane) depend on the host and stay informational.
 EXACT_MARKERS = {"determinism.ok", "determinism_ok"}
+# "<mix>.t1.cluster_reuses": one worker takes every job in order, so the
+# pool's count is fixed; with more workers it depends on who takes what.
+EXACT_SUFFIXES = (".t1.cluster_reuses",)
 
 
 def load(path):
@@ -31,7 +36,7 @@ def load(path):
 def is_exact(record):
     name = record["name"]
     return (record.get("unit") in EXACT_UNITS or name.endswith("exactness_ok")
-            or name in EXACT_MARKERS)
+            or name in EXACT_MARKERS or name.endswith(EXACT_SUFFIXES))
 
 
 def main(argv):
